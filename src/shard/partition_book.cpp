@@ -1,6 +1,7 @@
 #include "shard/partition_book.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 
@@ -110,12 +111,22 @@ PartitionBook::Deserialize(const std::string& text)
     int32_t num_shards = 0;
     int64_t num_nodes = 0;
     in >> tag >> num_shards;
-    DGNN_CHECK(tag == "shards", "partition book header expected 'shards', ",
-               "got '", tag, "'");
+    DGNN_CHECK(in && tag == "shards", "partition book header expected ",
+               "'shards <count>', got '", tag, "'");
     in >> tag >> num_nodes;
-    DGNN_CHECK(tag == "nodes", "partition book header expected 'nodes', ",
-               "got '", tag, "'");
+    DGNN_CHECK(in && tag == "nodes", "partition book header expected ",
+               "'nodes <count>', got '", tag, "'");
+    DGNN_CHECK(num_shards >= 1, "partition book needs >= 1 shard, got ",
+               num_shards);
     DGNN_CHECK(num_nodes >= 0, "negative node count ", num_nodes);
+    // Every entry takes at least a separator and a digit, so a count the
+    // rest of the text cannot hold is rejected before it is allocated.
+    const int64_t remaining =
+        in.eof() ? 0
+                 : static_cast<int64_t>(text.size()) -
+                       static_cast<int64_t>(in.tellg());
+    DGNN_CHECK(num_nodes <= remaining / 2, "partition book claims ",
+               num_nodes, " nodes but its text holds at most ", remaining / 2);
     std::vector<int32_t> assignment(static_cast<size_t>(num_nodes), 0);
     for (int64_t i = 0; i < num_nodes; ++i) {
         DGNN_CHECK(static_cast<bool>(in >> assignment[static_cast<size_t>(i)]),
@@ -140,16 +151,25 @@ HashPartition(int64_t num_nodes, int32_t num_shards, uint64_t seed)
 PartitionBook
 GreedyEdgeCutPartition(int64_t num_nodes, int32_t num_shards,
                        const std::vector<std::pair<int64_t, int64_t>>& edges,
-                       uint64_t seed)
+                       uint64_t /*seed*/)
 {
     DGNN_CHECK(num_nodes >= 0, "negative node count ", num_nodes);
     DGNN_CHECK(num_shards >= 1, "need >= 1 shard, got ", num_shards);
 
-    // CSR adjacency over the in-book endpoints (out-of-book endpoints carry
+    // Request load: RouteShard sends every request to its source's owner,
+    // so a node's load is the number of trace edges it sources. The CSR
+    // adjacency covers in-book endpoints only (out-of-book endpoints carry
     // no state rows to co-locate, so they do not steer placement).
+    std::vector<int64_t> load(static_cast<size_t>(num_nodes), 0);
     std::vector<int64_t> degree(static_cast<size_t>(num_nodes), 0);
+    int64_t total_load = 0;
     for (const auto& [u, v] : edges) {
-        if (u >= 0 && u < num_nodes && v >= 0 && v < num_nodes && u != v) {
+        if (u < 0 || u >= num_nodes) {
+            continue;
+        }
+        ++load[static_cast<size_t>(u)];
+        ++total_load;
+        if (v >= 0 && v < num_nodes && u != v) {
             ++degree[static_cast<size_t>(u)];
             ++degree[static_cast<size_t>(v)];
         }
@@ -171,16 +191,28 @@ GreedyEdgeCutPartition(int64_t num_nodes, int32_t num_shards,
         }
     }
 
+    // Heaviest first, ties by id: the hot sources are spread while every
+    // shard still has load headroom.
+    std::vector<int64_t> order(static_cast<size_t>(num_nodes));
+    std::iota(order.begin(), order.end(), int64_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+        return load[static_cast<size_t>(a)] > load[static_cast<size_t>(b)];
+    });
+
     const int64_t capacity = std::max<int64_t>(
         1, static_cast<int64_t>(
                static_cast<double>((num_nodes + num_shards - 1) / num_shards) *
                1.1) +
                1);
+    const double load_capacity = static_cast<double>(total_load) /
+                                 static_cast<double>(num_shards) * 1.1;
     std::vector<int64_t> sizes(static_cast<size_t>(num_shards), 0);
+    std::vector<int64_t> shard_load(static_cast<size_t>(num_shards), 0);
     std::vector<int32_t> assignment(static_cast<size_t>(num_nodes), -1);
     std::vector<int64_t> placed_neighbors(static_cast<size_t>(num_shards), 0);
 
-    for (int64_t node = 0; node < num_nodes; ++node) {
+    for (const int64_t node : order) {
+        const int64_t node_load = load[static_cast<size_t>(node)];
         std::fill(placed_neighbors.begin(), placed_neighbors.end(), 0);
         for (int64_t i = offset[static_cast<size_t>(node)];
              i < offset[static_cast<size_t>(node) + 1]; ++i) {
@@ -193,35 +225,41 @@ GreedyEdgeCutPartition(int64_t num_nodes, int32_t num_shards,
         }
         int32_t best = -1;
         double best_score = 0.0;
+        int32_t lightest = -1;
         for (int32_t shard = 0; shard < num_shards; ++shard) {
-            if (sizes[static_cast<size_t>(shard)] >= capacity) {
+            const auto s = static_cast<size_t>(shard);
+            if (sizes[s] >= capacity) {
                 continue;
             }
-            const double penalty =
-                1.0 - static_cast<double>(sizes[static_cast<size_t>(shard)]) /
-                          static_cast<double>(capacity);
+            // Strict comparisons keep ties on the lowest shard id.
+            if (lightest < 0 ||
+                std::pair(shard_load[s], sizes[s]) <
+                    std::pair(shard_load[static_cast<size_t>(lightest)],
+                              sizes[static_cast<size_t>(lightest)])) {
+                lightest = shard;
+            }
+            if (placed_neighbors[s] == 0) {
+                continue;
+            }
             const double score =
-                static_cast<double>(
-                    placed_neighbors[static_cast<size_t>(shard)]) *
-                penalty;
-            // Strict > keeps ties on the lowest shard id — deterministic.
-            if (best < 0 || score > best_score) {
+                static_cast<double>(placed_neighbors[s]) *
+                (1.0 - static_cast<double>(shard_load[s] + node_load) /
+                           load_capacity);
+            if (score > best_score) {
                 best = shard;
                 best_score = score;
             }
         }
-        if (best_score == 0.0) {
-            // No placed neighbors (or all-full penalty): fall back to the
-            // hash shard so unconnected prefixes do not pile onto shard 0.
-            const int32_t hashed = HashShard(node, num_shards, seed);
-            if (sizes[static_cast<size_t>(hashed)] < capacity) {
-                best = hashed;
-            }
+        if (best < 0) {
+            // No placed neighbor (or every neighbor's shard is past its
+            // load capacity): the least-loaded open shard takes the node.
+            best = lightest;
         }
         DGNN_CHECK(best >= 0, "greedy partitioner found no open shard for ",
                    "node ", node);
         assignment[static_cast<size_t>(node)] = best;
         ++sizes[static_cast<size_t>(best)];
+        shard_load[static_cast<size_t>(best)] += node_load;
     }
     return PartitionBook(num_shards, std::move(assignment));
 }

@@ -9,10 +9,11 @@
 ///   * HashPartition          — splitmix64 of (node ^ seed) mod shards;
 ///                              balance is near-perfect, edge locality is
 ///                              whatever chance provides
-///   * GreedyEdgeCutPartition — LDG-style streaming greedy: nodes placed in
-///                              id order on the shard holding most of their
-///                              already-placed neighbors, discounted by a
-///                              capacity penalty so shards stay balanced
+///   * GreedyEdgeCutPartition — LDG-style streaming greedy: nodes placed
+///                              heaviest request load first on the shard
+///                              holding most of their already-placed
+///                              neighbors, discounted by a load penalty so
+///                              every shard routes the same request load
 ///
 /// Both are bit-deterministic in (num_nodes, num_shards, seed[, edges]) —
 /// the same seed always reproduces the same assignment, which the shard
@@ -82,13 +83,18 @@ class PartitionBook {
 [[nodiscard]] PartitionBook HashPartition(int64_t num_nodes, int32_t num_shards,
                             uint64_t seed);
 
-/// LDG-style streaming greedy edge-cut minimizer. Nodes are placed in id
-/// order; each goes to the shard maximizing
-///   |already-placed neighbors on shard| * (1 - size/capacity)
-/// with capacity = ceil(num_nodes/num_shards) * 1.1 slack. Ties (including
-/// the no-placed-neighbor case, where every score is 0) fall back to the
-/// node's HashPartition shard, unless that shard is full — then the lowest
-/// non-full shard. Deterministic in all arguments.
+/// LDG-style streaming greedy that balances request load and minimizes the
+/// edge cut. A node's load is the number of @p edges it sources (requests
+/// route to their source's owner). Nodes are placed heaviest first, ties
+/// by id; each goes to the open shard maximizing
+///   |already-placed neighbors on shard| * (1 - (shard_load + load) / L)
+/// with L = total_load / num_shards * 1.1. A shard is open below the node
+/// capacity ceil(num_nodes/num_shards) * 1.1. A node no positive score
+/// claims (no placed neighbor, or every neighbor's shard past L) goes to
+/// the open shard with the least load, then the fewest nodes, then the
+/// lowest id. Deterministic in (num_nodes, num_shards, edges); @p seed is
+/// accepted for signature parity with HashPartition and does not affect
+/// the result.
 [[nodiscard]] PartitionBook GreedyEdgeCutPartition(
     int64_t num_nodes, int32_t num_shards,
     const std::vector<std::pair<int64_t, int64_t>>& edges, uint64_t seed);

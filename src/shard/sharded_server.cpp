@@ -74,6 +74,15 @@ ServeSharded(
     report.num_shards = options.num_shards;
     report.edge_cut = EdgeCut(book, TraceEdges(requests));
     report.balance_factor = book.BalanceFactor();
+    for (const std::vector<serve::Request>& stream : sub_streams) {
+        report.shard_requests.push_back(static_cast<int64_t>(stream.size()));
+    }
+    if (!requests.empty()) {
+        report.load_imbalance =
+            static_cast<double>(*std::max_element(
+                report.shard_requests.begin(), report.shard_requests.end())) *
+            options.num_shards / static_cast<double>(requests.size());
+    }
     if (!requests.empty() && requests.back().arrival_us > 0.0) {
         report.offered_qps = static_cast<double>(requests.size()) * 1e6 /
                              requests.back().arrival_us;

@@ -63,6 +63,12 @@ struct ShardedReport {
     int64_t edge_cut = 0;
     /// Largest shard over the ideal size (1.0 = perfectly balanced).
     double balance_factor = 1.0;
+    /// Requests routed to each shard, indexed by shard id.
+    std::vector<int64_t> shard_requests;
+    /// Busiest shard's routed requests over the mean (1.0 = perfectly
+    /// balanced). With equally fast shards this, not balance_factor,
+    /// bounds the cluster's sustained QPS.
+    double load_imbalance = 1.0;
     double offered_qps = 0.0;
     /// Total completions over the slowest shard's makespan — the cluster
     /// rate an open-loop load balancer would sustain.

@@ -10,6 +10,7 @@
 
 #include "data/temporal_interactions.hpp"
 #include "models/jodie.hpp"
+#include "models/tgat.hpp"
 #include "models/tgn.hpp"
 #include "serve/server.hpp"
 
@@ -17,14 +18,14 @@ namespace dgnn::serve {
 namespace {
 
 data::InteractionDataset
-TinyInteractions()
+TinyInteractions(int64_t edge_feature_dim = 8)
 {
     data::InteractionSpec spec;
     spec.name = "tiny";
     spec.num_users = 20;
     spec.num_items = 12;
     spec.num_events = 400;
-    spec.edge_feature_dim = 8;
+    spec.edge_feature_dim = edge_feature_dim;
     spec.seed = 5;
     return data::GenerateInteractions(spec);
 }
@@ -281,6 +282,22 @@ TEST(ModelSessionTest, CpuOnlyProfilesHaveNoTransfers)
     EXPECT_EQ(p.h2d_bytes, 0);
     EXPECT_EQ(p.d2h_bytes, 0);
     EXPECT_FALSE(p.kernels.empty());
+}
+
+TEST(ModelSessionTest, ProfilesExcludeOneTimeSetUp)
+{
+    // TGAT copies its resident feature tables to the device once, before
+    // the probe's measurement window. The edge-feature width sizes that
+    // copy only, so it must not reach the per-batch profile.
+    auto batch_h2d = [](int64_t edge_feature_dim) {
+        const auto ds = TinyInteractions(edge_feature_dim);
+        models::Tgat tgat(ds, models::TgatConfig{});
+        ModelSession session(tgat, sim::ExecMode::kHybrid, 4);
+        return session.Profile(16).h2d_bytes;
+    };
+    const int64_t narrow = batch_h2d(8);
+    EXPECT_GT(narrow, 0);
+    EXPECT_EQ(narrow, batch_h2d(320));
 }
 
 // ----------------------------------------------------------------- serving

@@ -4,10 +4,11 @@
 //   * topology unit checks: scale-out construction, peer-link lookup, and
 //     the 1-device bit-identity contract (a topology-carrying runtime must
 //     reproduce the historical single-pair runtime exactly);
-//   * partition-book suite: round-trip serialization, seed determinism,
-//     exactly-one-shard coverage, balance bounds, edge-cut accounting
-//     against hand-computed cuts, and greedy-beats-hash on clustered
-//     graphs;
+//   * partition-book suite: round-trip serialization and its rejection of
+//     malformed text, seed determinism, exactly-one-shard coverage, balance
+//     bounds, edge-cut accounting against hand-computed cuts,
+//     greedy-beats-hash on clustered graphs, and greedy's routed-request
+//     balance on skewed bipartite streams;
 //   * exchange-hook unit checks: claim/plan splitting, peer-link pricing,
 //     and the zero-runtime-ops guarantee of an empty claim;
 //   * sharded serving: 1-shard bit-identity against the plain serving
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -33,6 +35,7 @@
 #include "shard/partition_book.hpp"
 #include "shard/sharded_server.hpp"
 #include "sim/topology.hpp"
+#include "support/check.hpp"
 
 namespace dgnn::shard {
 namespace {
@@ -114,6 +117,22 @@ TEST(PartitionBookTest, SerializeRoundTrips)
     EXPECT_EQ(copy.NumNodes(), 257);
 }
 
+TEST(PartitionBookTest, DeserializeRejectsMalformedText)
+{
+    // The first header claims ~12 GB of entries: a count the text cannot
+    // hold is rejected before allocation.
+    for (const char* text :
+         {"shards 2 nodes 3000000000 0", "shards 2\nnodes 3\n0\n1\n",
+          "shards 0\nnodes 1\n0\n", "shards -3\nnodes 0\n",
+          "shards 2\nnodes 2\n0\n2\n", "shards 2\nnodes 2\n-1\n0\n",
+          "shards x\nnodes 0\n", "shards 2\nnodes x\n"}) {
+        EXPECT_THROW((void)PartitionBook::Deserialize(text), Error) << text;
+    }
+    // The smallest well-formed books still parse.
+    EXPECT_EQ(PartitionBook::Deserialize("shards 2\nnodes 0").NumNodes(), 0);
+    EXPECT_EQ(PartitionBook::Deserialize("shards 2 nodes 1 1").ShardOf(0), 1);
+}
+
 TEST(PartitionBookTest, SameSeedIsBitIdentical)
 {
     EXPECT_TRUE(HashPartition(1000, 4, 42) == HashPartition(1000, 4, 42));
@@ -187,6 +206,56 @@ TEST(PartitionBookTest, GreedyRespectsCapacityAndBeatsHashOnClusters)
     EXPECT_LT(EdgeCut(greedy, edges), EdgeCut(hash, edges));
     // The capacity penalty keeps the greedy assignment within its slack.
     EXPECT_LE(greedy.BalanceFactor(), 1.2);
+}
+
+/// Busiest shard's routed requests over the mean, routing every edge to
+/// its source's owner as RouteShard does.
+double
+RoutedImbalance(const PartitionBook& book,
+                const std::vector<std::pair<int64_t, int64_t>>& edges)
+{
+    std::vector<int64_t> routed(static_cast<size_t>(book.NumShards()), 0);
+    for (const auto& edge : edges) {
+        ++routed[static_cast<size_t>(book.ShardOf(edge.first))];
+    }
+    const int64_t busiest = *std::max_element(routed.begin(), routed.end());
+    return static_cast<double>(busiest) * book.NumShards() /
+           static_cast<double>(edges.size());
+}
+
+TEST(PartitionBookTest, GreedyBalancesRoutedLoadOnSkewedStreams)
+{
+    for (const uint64_t seed : {1, 2, 3, 4, 5}) {
+        data::InteractionSpec spec;
+        spec.name = "skewed";
+        spec.num_users = 512;
+        spec.num_items = 128;
+        spec.num_events = 4096;
+        spec.edge_feature_dim = 1;
+        spec.popularity_alpha = 2.5;
+        spec.repeat_prob = 0.9;
+        spec.seed = seed;
+        const auto dataset = data::GenerateInteractions(spec);
+        std::vector<std::pair<int64_t, int64_t>> edges;
+        for (const graph::TemporalEvent& e : dataset.stream.Events()) {
+            edges.emplace_back(e.src, e.dst);
+        }
+        const int64_t nodes = dataset.NumNodes();
+        for (const int32_t shards : {2, 4, 8}) {
+            const PartitionBook book =
+                GreedyEdgeCutPartition(nodes, shards, edges, seed);
+            EXPECT_LE(RoutedImbalance(book, edges), 1.05)
+                << "seed " << seed << ", " << shards << " shards";
+            const std::vector<int64_t> sizes = book.ShardSizes();
+            const int64_t capacity =
+                static_cast<int64_t>(
+                    static_cast<double>((nodes + shards - 1) / shards) * 1.1) +
+                1;
+            EXPECT_LE(*std::max_element(sizes.begin(), sizes.end()), capacity);
+            EXPECT_TRUE(book ==
+                        GreedyEdgeCutPartition(nodes, shards, edges, seed));
+        }
+    }
 }
 
 // ------------------------------------------------------------ exchange hook
@@ -386,6 +455,35 @@ TEST(ShardedServingTest, DeterministicAcrossRuns)
     EXPECT_EQ(a.exchange.bytes, b.exchange.bytes);
     EXPECT_EQ(a.exchange.link_us, b.exchange.link_us);
     EXPECT_EQ(a.edge_cut, b.edge_cut);
+}
+
+TEST(ShardedServingTest, ReportsRoutedLoadPerShard)
+{
+    const auto dataset = ShardDataset();
+    models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
+    const std::vector<serve::Request> requests =
+        ShardRequests(dataset, 8000.0, 256);
+    ShardedOptions options = BaseOptions(dataset, model, 4);
+    const ShardedReport hash =
+        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                     requests, MakeTimeoutPolicy(), options);
+    options.partitioner = PartitionerKind::kGreedy;
+    const ShardedReport greedy =
+        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                     requests, MakeTimeoutPolicy(), options);
+
+    for (const ShardedReport* report : {&hash, &greedy}) {
+        ASSERT_EQ(report->shard_requests.size(), 4u);
+        for (size_t shard = 0; shard < 4; ++shard) {
+            EXPECT_EQ(report->shard_requests[shard],
+                      report->shards[shard].requests);
+        }
+        const int64_t busiest = *std::max_element(
+            report->shard_requests.begin(), report->shard_requests.end());
+        EXPECT_DOUBLE_EQ(report->load_imbalance,
+                         static_cast<double>(busiest) * 4.0 / 256.0);
+    }
+    EXPECT_LT(greedy.load_imbalance, hash.load_imbalance);
 }
 
 /// Serves shard 0's sub-stream of a 2-shard split through the REAL serving
