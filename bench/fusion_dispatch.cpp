@@ -1,5 +1,5 @@
-/// The fusion + hybrid-dispatch ablation — the launch-overhead killer
-/// (src/sim/fusion.hpp + src/dispatch/ over the serving stack). Two sweeps:
+/// The kernel-fusion ablation — the launch-overhead killer
+/// (src/sim/fusion.hpp over the serving stack). Two sweeps:
 ///
 ///   Table A  launch-overhead ablation: per model (TGN, TGAT, JODIE) and
 ///            batch size, the captured serving profile with and without the
@@ -9,34 +9,35 @@
 ///            launch-bound cell (Fig 7d, GPU util 1.5-2.5%): fusing it cuts
 ///            launch overhead 4x.
 ///
-///   Table B  serving sweep: model x offered Poisson rate x dispatch mode
-///            (static-cpu / static-gpu / static-gpu-fused / per-batch
-///            hybrid) on the serial executor, uncached sessions. Reports
-///            sustained QPS, tail latency, and the placement mix the hybrid
-///            dispatcher chose. The hybrid row must sustain >= every static
-///            row at the same cell — predict-then-place never loses to a
-///            fixed placement.
+///   Table B  placements at saturation: per model, the highest Poisson rate
+///            each placement sustains under a 10 ms p99 SLO
+///            (serve::FindMaxQpsUnderSlo) — a CPU-only session, the default
+///            hybrid session, and a hybrid session capturing fused profiles
+///            — on the serial executor, uncached, over three arrival seeds.
+///            Reports every seed, the median, and the seed spread
+///            (max-min)/median.
 ///
 /// The text summary diffs against docs/expected/bench_fusion_dispatch.txt
 /// in CI (scripts/check_fusion.sh); BENCH_fusion_dispatch.json carries the
-/// trajectory for scripts/compare_bench.py plus the two acceptance checks.
+/// trajectory for scripts/compare_bench.py plus the acceptance checks.
 ///
-/// Smoke scale by default; set DGNN_FUSION_REQUESTS to sweep a heavier
-/// stream and DGNN_BENCH_JSON_PATH to redirect the JSON artifact.
+/// DGNN_FUSION_REQUESTS sets the requests per search evaluation (default
+/// 2048); DGNN_BENCH_JSON_PATH redirects the JSON artifact.
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/bench_json_writer.hpp"
-#include "dispatch/dispatcher.hpp"
 #include "models/fusion_catalog.hpp"
 #include "models/jodie.hpp"
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
-#include "scenario/scenario.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/server.hpp"
 #include "sim/runtime.hpp"
@@ -44,10 +45,25 @@
 namespace dgnn {
 namespace {
 
-constexpr uint64_t kSeed = 1013;
+constexpr uint64_t kSeeds[] = {1013, 1014, 1015};
 constexpr int64_t kServeBatch = 64;
 constexpr sim::SimTime kBatchTimeoutUs = 3000.0;
 constexpr int64_t kNumNeighbors = 10;
+constexpr sim::SimTime kSloUs = 10000.0;
+constexpr double kFloorQps = 250.0;
+
+/// One way to serve a model: the session that expresses the placement.
+struct Placement {
+    const char* name;
+    sim::ExecMode mode;
+    bool fuse_kernels;
+};
+
+constexpr Placement kPlacements[] = {
+    {"cpu-only", sim::ExecMode::kCpuOnly, false},
+    {"hybrid", sim::ExecMode::kHybrid, false},
+    {"hybrid+fused", sim::ExecMode::kHybrid, true},
+};
 
 int64_t
 RequestCount()
@@ -55,7 +71,7 @@ RequestCount()
     if (const char* env = std::getenv("DGNN_FUSION_REQUESTS")) {
         return std::max<int64_t>(1, std::atoll(env));
     }
-    return 512;
+    return 2048;
 }
 
 std::string
@@ -123,9 +139,12 @@ LaunchAblation(const std::vector<models::DgnnModel*>& model_list,
     for (models::DgnnModel* model : model_list) {
         serve::ModelSession session(*model, sim::ExecMode::kHybrid,
                                     kNumNeighbors);
+        serve::ModelSession fused_session(*model, sim::ExecMode::kHybrid,
+                                          kNumNeighbors, {},
+                                          /*fuse_kernels=*/true);
         for (const int64_t batch : {int64_t{4}, int64_t{64}, int64_t{256}}) {
             const serve::BatchProfile& unfused = session.Profile(batch);
-            const serve::BatchProfile& fused = session.FusedProfile(batch);
+            const serve::BatchProfile& fused = fused_session.Profile(batch);
             const auto launches = static_cast<int64_t>(unfused.kernels.size());
             const auto fused_launches =
                 static_cast<int64_t>(fused.kernels.size());
@@ -156,87 +175,60 @@ LaunchAblation(const std::vector<models::DgnnModel*>& model_list,
     std::cout << table.ToString();
 }
 
-std::string
-PlacementMix(const serve::ServingReport& report)
-{
-    std::string mix;
-    for (int i = 0; i < dispatch::kNumPlacements; ++i) {
-        if (!mix.empty()) {
-            mix += "/";
-        }
-        mix += std::to_string(report.placement_batches[static_cast<size_t>(i)]);
-    }
-    return mix;  // cpu/gpu/gpu-fused
-}
-
 void
-ServingSweep(const std::vector<models::DgnnModel*>& model_list,
-             const data::InteractionDataset& dataset, int64_t n,
-             core::BenchJsonWriter& json)
+SaturationSweep(const std::vector<models::DgnnModel*>& model_list, int64_t n,
+                core::BenchJsonWriter& json)
 {
-    constexpr double kRates[] = {2000.0, 8000.0, 32000.0};
-    constexpr dispatch::DispatchMode kModes[] = {
-        dispatch::DispatchMode::kStaticCpu,
-        dispatch::DispatchMode::kStaticGpu,
-        dispatch::DispatchMode::kStaticGpuFused,
-        dispatch::DispatchMode::kHybrid,
+    bench::Banner("Placements at saturation: max QPS under a 10 ms p99 SLO "
+                  "(serial, uncached)",
+                  "the Fig 7 CPU vs GPU comparison, under open-loop load");
+
+    std::vector<std::string> header = {"model", "placement"};
+    for (const uint64_t seed : kSeeds) {
+        header.push_back("seed " + std::to_string(seed));
+    }
+    header.insert(header.end(), {"median", "min-max", "spread"});
+    core::TableWriter table(std::move(header));
+    const auto make_policy = [] {
+        return std::make_unique<serve::TimeoutPolicy>(kServeBatch,
+                                                      kBatchTimeoutUs);
     };
+    serve::ServerOptions options;
+    options.executor = serve::ExecutorKind::kSerial;
 
     for (models::DgnnModel* model : model_list) {
-        bench::Banner(
-            "Hybrid dispatch serving sweep: " + model->Name() +
-                " (serial, uncached)",
-            "per-batch predict-then-place vs the static placements");
-
-        core::TableWriter table({"offered qps", "mode", "sustained qps",
-                                 "p50 ms", "p99 ms", "cpu/gpu/fused"});
-        serve::ModelSession session(*model, sim::ExecMode::kHybrid,
-                                    kNumNeighbors);
-        for (const double rate : kRates) {
-            scenario::Scenario s;
-            s.name = "fusion-replay";
-            s.poisson_qps = rate;
-            s.poisson_seed = kSeed;
-            const std::vector<serve::Request> requests =
-                scenario::GenerateRequests(s, dataset, n);
-
-            for (const dispatch::DispatchMode mode : kModes) {
-                dispatch::DispatcherConfig config;
-                config.mode = mode;
-                const dispatch::HybridDispatcher dispatcher(config);
-
-                serve::TimeoutPolicy policy(kServeBatch, kBatchTimeoutUs);
-                serve::ServerOptions options;
-                options.executor = serve::ExecutorKind::kSerial;
-                options.dispatcher = &dispatcher;
-
-                const serve::ServingReport report =
-                    serve::ServeRequests(session, policy, requests, options);
-
-                table.AddRow(
-                    {core::TableWriter::Num(rate, 0),
-                     dispatch::ToString(mode),
-                     core::TableWriter::Num(report.achieved_qps, 1),
-                     bench::Ms(report.latency.P50()),
-                     bench::Ms(report.latency.P99()), PlacementMix(report)});
+        for (const Placement& placement : kPlacements) {
+            serve::ModelSession session(*model, placement.mode, kNumNeighbors,
+                                        {}, placement.fuse_kernels);
+            std::vector<std::string> row = {model->Name(), placement.name};
+            std::vector<double> qps;
+            for (const uint64_t seed : kSeeds) {
+                const serve::QpsSearchResult search = serve::FindMaxQpsUnderSlo(
+                    session, make_policy, options, kSloUs, n, seed, kFloorQps);
+                qps.push_back(search.max_qps);
+                row.push_back(core::TableWriter::Num(search.max_qps, 0));
 
                 json.BeginRecord();
-                json.Field("table", "serving_sweep");
+                json.Field("table", "saturation");
                 json.Field("model", model->Name());
-                json.Field("offered", core::TableWriter::Num(rate, 0));
-                json.Field("mode", dispatch::ToString(mode));
-                json.Field("requests", report.requests);
-                json.Field("batches", report.batches);
-                json.Field("achieved_qps", report.achieved_qps, 1);
-                json.Field("p50_ms", report.latency.P50() / 1000.0, 3);
-                json.Field("p99_ms", report.latency.P99() / 1000.0, 3);
-                json.Field("cpu_batches", report.placement_batches[0]);
-                json.Field("gpu_batches", report.placement_batches[1]);
-                json.Field("fused_batches", report.placement_batches[2]);
+                json.Field("placement", placement.name);
+                json.Field("seed", std::to_string(seed));
+                json.Field("requests", n);
+                json.Field("max_qps", search.max_qps, 1);
+                json.Field("p99_ms", search.p99_us / 1000.0, 3);
             }
+            std::sort(qps.begin(), qps.end());
+            const double median = qps[qps.size() / 2];
+            const double spread =
+                median > 0.0 ? (qps.back() - qps.front()) / median : 0.0;
+            row.push_back(core::TableWriter::Num(median, 0));
+            row.push_back(core::TableWriter::Num(qps.front(), 0) + "-" +
+                          core::TableWriter::Num(qps.back(), 0));
+            row.push_back(core::TableWriter::Num(spread, 2));
+            table.AddRow(row);
         }
-        std::cout << table.ToString();
     }
+    std::cout << table.ToString();
 }
 
 }  // namespace
@@ -248,13 +240,13 @@ main()
     using namespace dgnn;
 
     const int64_t n = RequestCount();
-    std::cout << "DGNN fusion + hybrid dispatch (simulated Xeon Gold 6226R "
-                 "vs RTX A6000)\n"
-              << "Registered-chain kernel fusion + per-batch "
-                 "predict-then-place; "
-              << n << " requests per serving cell, timeout(" << kServeBatch
+    std::cout << "DGNN kernel fusion (simulated Xeon Gold 6226R vs RTX A6000)\n"
+              << "Registered-chain kernel fusion; placements compared at "
+                 "saturation: "
+              << n << " requests per search step, timeout(" << kServeBatch
               << "," << static_cast<int64_t>(kBatchTimeoutUs) / 1000
-              << "ms) batching, seed " << kSeed << "\n";
+              << "ms) batching, floor " << static_cast<int64_t>(kFloorQps)
+              << " qps, seeds 1013-1015\n";
 
     const auto dataset = data::GenerateInteractions(FusionDatasetSpec());
 
@@ -266,7 +258,7 @@ main()
     core::BenchJsonWriter json("fusion_dispatch");
     PrintCatalog();
     LaunchAblation(model_list, json);
-    ServingSweep(model_list, dataset, n, json);
+    SaturationSweep(model_list, n, json);
 
     json.WriteFile(JsonPath());
     std::cout << "\njson: BENCH_fusion_dispatch.json (" << json.RecordCount()

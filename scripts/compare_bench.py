@@ -37,6 +37,7 @@ METRIC_DIRECTION = {
     "h2d_mb": +1,
     "d2h_mb": +1,
     "achieved_qps": -1,
+    "max_qps": -1,
     "offered_qps": 0,  # identity of the load point, not an outcome
     "requests": 0,
     "batches": 0,

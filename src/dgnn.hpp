@@ -84,9 +84,6 @@
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
 
-// Per-batch hybrid dispatch (predict-then-place over the cost model)
-#include "dispatch/dispatcher.hpp"
-
 // Online inference serving
 #include "serve/arrival_source.hpp"
 #include "serve/batch_policy.hpp"

@@ -6,7 +6,7 @@
 /// replaces; models build the concrete FusedKernelDesc per batch through
 /// MakeRegisteredChain, which validates the parts against the registry so a
 /// model refactor cannot silently fuse a different chain than the one the
-/// docs, bench, and dispatcher reason about.
+/// docs and bench reason about.
 ///
 /// The chains (see DESIGN.md §13 for the cost derivations):
 ///

@@ -1,7 +1,6 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.hpp"
 
@@ -110,59 +109,6 @@ BottleneckAttributor::OnBatch(const serve::BatchObservation& ob)
     a.dominant = Classify(a.queueing_us, a.host_us, a.transfer_us,
                           a.compute_us, a.cross_shard_us);
     batches_.push_back(a);
-}
-
-void
-DispatchLedger::OnBatch(const serve::BatchObservation& ob)
-{
-    if (!ob.decision.has_value()) {
-        return;
-    }
-    const dispatch::PlacementDecision& d = *ob.decision;
-    PlacementBucket& bucket = buckets_[static_cast<size_t>(d.placement)];
-    double predicted = 0.0;
-    switch (d.placement) {
-      case dispatch::Placement::kCpu:
-        predicted = d.predicted_cpu_us;
-        break;
-      case dispatch::Placement::kGpu:
-        predicted = d.predicted_gpu_us;
-        break;
-      case dispatch::Placement::kGpuFused:
-        predicted = d.predicted_gpu_fused_us;
-        break;
-    }
-    // In-executor service time: everything after the throttle stall. The
-    // prediction models exactly this window (host build + transfers +
-    // kernels), not the queue wait in front of it.
-    const double actual = ob.spans.complete_us - ob.spans.stall_done_us;
-    ++bucket.batches;
-    bucket.predicted_us += predicted;
-    bucket.actual_us += actual;
-    if (actual > 0.0) {
-        rel_error_sum_ += std::abs(predicted - actual) / actual;
-    }
-    ++routed_;
-}
-
-int64_t
-DispatchLedger::RoutedBatches() const
-{
-    return routed_;
-}
-
-double
-DispatchLedger::MeanRelativeError() const
-{
-    return routed_ > 0 ? rel_error_sum_ / static_cast<double>(routed_) : 0.0;
-}
-
-void
-DispatchLedger::Clear()
-{
-    buckets_ = {};
-    rel_error_sum_ = 0.0;
-    routed_ = 0;
 }
 
 AttributionSummary

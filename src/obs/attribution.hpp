@@ -105,49 +105,4 @@ class BottleneckAttributor {
     std::vector<BatchAttribution> batches_;
 };
 
-/// Per-placement accounting of one run's dispatch verdicts.
-struct PlacementBucket {
-    int64_t batches = 0;
-    /// Sum of the dispatcher's predicted service time for batches routed
-    /// here, us.
-    double predicted_us = 0.0;
-    /// Sum of the measured in-executor service time (stall_done ->
-    /// complete, i.e. excluding queue wait), us.
-    double actual_us = 0.0;
-};
-
-/// Audits the hybrid dispatcher through the observation seam: how batches
-/// were routed and how the cost-model predictions the routing was based on
-/// compare against the measured executor spans (predict-then-place, then
-/// verify). Ignores batches without a decision, so it composes with
-/// dispatcherless runs.
-class DispatchLedger {
-  public:
-    void OnBatch(const serve::BatchObservation& ob);
-
-    const std::array<PlacementBucket, dispatch::kNumPlacements>& Buckets()
-        const
-    {
-        return buckets_;
-    }
-    const PlacementBucket& Bucket(dispatch::Placement placement) const
-    {
-        return buckets_[static_cast<size_t>(placement)];
-    }
-
-    /// Batches that carried a dispatch decision.
-    int64_t RoutedBatches() const;
-
-    /// Mean |predicted - actual| / actual over routed batches, the
-    /// prediction-quality figure (0 when nothing was routed).
-    double MeanRelativeError() const;
-
-    void Clear();
-
-  private:
-    std::array<PlacementBucket, dispatch::kNumPlacements> buckets_{};
-    double rel_error_sum_ = 0.0;
-    int64_t routed_ = 0;
-};
-
 }  // namespace dgnn::obs

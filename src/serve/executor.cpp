@@ -120,57 +120,6 @@ BatchExecutor::Drain()
 }
 
 sim::SimTime
-BatchExecutor::SubmitPlaced(dispatch::Placement placement,
-                            const BatchProfile& profile,
-                            const CacheBatchCost& cache_cost, BatchSpans* spans)
-{
-    if (placement != dispatch::Placement::kCpu) {
-        return Submit(profile, cache_cost, spans);
-    }
-    // CPU-placed batches bypass the device entirely; a cached session's
-    // state is device-resident, so the serving loop never routes it here.
-    DGNN_CHECK(cache_cost.hit_rows == 0 && cache_cost.miss_rows == 0 &&
-                   cache_cost.writeback_rows == 0,
-               "CPU placement requires an uncached session");
-    sim::CategoryScope scope(runtime_, "Serving Batch");
-    const sim::SimTime dispatch = runtime_.Now();
-    // Host staging uses its own resource family (host_in#cpu/host_out#cpu):
-    // host execution is program-ordered, so there is no reuse hazard with
-    // the device slots, and the hazard checker sees a self-ordered chain.
-    {
-        MaybeAccess access(runtime_, [&] {
-            sim::AccessSet set;
-            set.writes.emplace_back("host_in#cpu");
-            return set;
-        });
-        runtime_.RunHostFor("batch_build", profile.host_us);
-    }
-    const sim::SimTime host_done = runtime_.Now();
-    {
-        MaybeAccess access(runtime_, [&] {
-            sim::AccessSet set;
-            set.reads.emplace_back("host_in#cpu");
-            set.writes.emplace_back("host_out#cpu");
-            return set;
-        });
-        for (const sim::KernelDesc& kernel : profile.kernels) {
-            runtime_.RunHost(kernel);
-        }
-    }
-    if (spans != nullptr) {
-        // Everything runs synchronously on the host: no throttle, and the
-        // H2D boundary collapses onto host_done (nothing crosses PCIe).
-        spans->dispatch_us = dispatch;
-        spans->stall_done_us = dispatch;
-        spans->host_done_us = host_done;
-        spans->h2d_done_us = host_done;
-        spans->compute_done_us = runtime_.Now();
-        spans->complete_us = runtime_.Now();
-    }
-    return runtime_.Now();
-}
-
-sim::SimTime
 SerialExecutor::Submit(const BatchProfile& profile,
                        const CacheBatchCost& cache_cost, BatchSpans* spans)
 {

@@ -24,7 +24,6 @@
 #include <deque>
 
 #include "cache/device_cache.hpp"
-#include "dispatch/dispatcher.hpp"
 #include "serve/model_session.hpp"
 #include "sim/runtime.hpp"
 
@@ -96,19 +95,6 @@ class BatchExecutor {
     virtual sim::SimTime Submit(const BatchProfile& profile,
                                 const CacheBatchCost& cache_cost,
                                 BatchSpans* spans = nullptr) = 0;
-
-    /// Placement-aware entry (the hybrid dispatcher's seam, shared by both
-    /// executors). kGpu and kGpuFused forward to Submit with the profile
-    /// the caller selected (the serving loop passes the fused profile for
-    /// kGpuFused — the kernels arrive pre-collapsed). kCpu runs the batch
-    /// synchronously on the host: build, then every kernel as a host op —
-    /// nothing crosses PCIe, no streams, the host store stays
-    /// authoritative. CPU placement requires an inactive cache_cost
-    /// (serving only routes uncached sessions to the host).
-    [[nodiscard]] sim::SimTime SubmitPlaced(dispatch::Placement placement,
-                                            const BatchProfile& profile,
-                                            const CacheBatchCost& cache_cost,
-                                            BatchSpans* spans = nullptr);
 
     /// Blocks the host until every in-flight batch completes.
     virtual sim::SimTime Drain();

@@ -17,9 +17,20 @@ constexpr std::string_view kCacheWritebackSuffix = ":cache_writeback_d2h";
 
 ModelSession::ModelSession(models::DgnnModel& model, sim::ExecMode mode,
                            int64_t num_neighbors,
-                           cache::DeviceCacheConfig cache_config)
-    : model_(model), mode_(mode), num_neighbors_(num_neighbors)
+                           cache::DeviceCacheConfig cache_config,
+                           bool fuse_kernels)
+    : model_(model),
+      mode_(mode),
+      num_neighbors_(num_neighbors),
+      fuse_kernels_(fuse_kernels)
 {
+    // Rejected here, not at the first capture: the cache check below would
+    // otherwise turn a negative capacity into a silently uncached session.
+    DGNN_CHECK(num_neighbors_ >= 0, "num_neighbors must be >= 0, got ",
+               num_neighbors_);
+    DGNN_CHECK(cache_config.capacity_bytes >= 0,
+               "cache_config.capacity_bytes must be >= 0, got ",
+               cache_config.capacity_bytes);
     // The cache only exists where it can act honestly: hybrid mode,
     // positive capacity, cacheable per-node state, AND state keyed by the
     // request's own endpoints — the serving loop can only resolve src/dst
@@ -39,28 +50,13 @@ ModelSession::Profile(int64_t batch_size)
     DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
     auto it = cache_profiles_.find(batch_size);
     if (it == cache_profiles_.end()) {
-        it = cache_profiles_
-                 .emplace(batch_size, Capture(batch_size, /*fuse_kernels=*/false))
-                 .first;
-    }
-    return it->second;
-}
-
-const BatchProfile&
-ModelSession::FusedProfile(int64_t batch_size)
-{
-    DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
-    auto it = fused_profiles_.find(batch_size);
-    if (it == fused_profiles_.end()) {
-        it = fused_profiles_
-                 .emplace(batch_size, Capture(batch_size, /*fuse_kernels=*/true))
-                 .first;
+        it = cache_profiles_.emplace(batch_size, Capture(batch_size)).first;
     }
     return it->second;
 }
 
 BatchProfile
-ModelSession::Capture(int64_t batch_size, bool fuse_kernels)
+ModelSession::Capture(int64_t batch_size)
 {
     // Replay the model's batched entry on a scratch runtime of the same
     // mode; the trace then holds every op the batch issues, with enough
@@ -70,7 +66,7 @@ ModelSession::Capture(int64_t batch_size, bool fuse_kernels)
     sim::Runtime scratch = models::MakeRuntime(mode_);
     models::RunConfig probe =
         models::SingleBatchProbe(mode_, batch_size, num_neighbors_);
-    probe.fuse_kernels = fuse_kernels;
+    probe.fuse_kernels = fuse_kernels_;
     if (CacheEnabled()) {
         // Probe through an unbounded scratch cache: every unique state row
         // misses exactly once and no eviction write-backs occur, so the

@@ -65,9 +65,16 @@ class ModelSession {
     ///                       session serves; capacity 0 (the default)
     ///                       serves uncached. Only effective in hybrid mode
     ///                       for models with cacheable state.
+    /// @param fuse_kernels   capture profiles with the model's registered
+    ///                       fusion chains collapsed (models::RunConfig::
+    ///                       fuse_kernels): fewer, fatter kernels, identical
+    ///                       host work and transfer volumes
+    /// @throws dgnn::Error on a negative num_neighbors or a negative
+    ///         cache_config.capacity_bytes
     ModelSession(models::DgnnModel& model, sim::ExecMode mode,
                  int64_t num_neighbors = 20,
-                 cache::DeviceCacheConfig cache_config = {});
+                 cache::DeviceCacheConfig cache_config = {},
+                 bool fuse_kernels = false);
 
     std::string ModelName() const { return model_.Name(); }
     sim::ExecMode Mode() const { return mode_; }
@@ -86,27 +93,21 @@ class ModelSession {
     /// The (memoized) cost profile of a batch of @p batch_size requests.
     const BatchProfile& Profile(int64_t batch_size);
 
-    /// The same batch captured with the model's registered fusion chains
-    /// collapsed (probe runs with fuse_kernels on): fewer, fatter kernels,
-    /// identical host work and transfer volumes. Memoized separately; used
-    /// by the hybrid dispatcher's GPU-fused placement.
-    const BatchProfile& FusedProfile(int64_t batch_size);
-
-    /// Number of distinct batch sizes captured so far (unfused profiles).
+    /// Number of distinct batch sizes captured so far.
     int64_t CapturedProfiles() const
     {
         return static_cast<int64_t>(cache_profiles_.size());
     }
 
   private:
-    BatchProfile Capture(int64_t batch_size, bool fuse_kernels);
+    BatchProfile Capture(int64_t batch_size);
 
     models::DgnnModel& model_;
     sim::ExecMode mode_;
     int64_t num_neighbors_;
+    bool fuse_kernels_;
     cache::DeviceCache cache_;
     std::map<int64_t, BatchProfile> cache_profiles_;
-    std::map<int64_t, BatchProfile> fused_profiles_;
 };
 
 }  // namespace dgnn::serve

@@ -12,12 +12,10 @@
 /// and all committed expected outputs bit-identical.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/device_cache.hpp"
-#include "dispatch/dispatcher.hpp"
 #include "serve/executor.hpp"
 #include "serve/request.hpp"
 #include "serve/shard_hook.hpp"
@@ -56,12 +54,8 @@ struct BatchObservation {
     /// The batch's cross-shard exchange cost (all-zero without a shard
     /// hook — i.e. in every unsharded run).
     ExchangeCost exchange;
-    /// The captured cost profile the executor issued (the FUSED profile
-    /// when the dispatcher placed the batch on kGpuFused).
+    /// The captured cost profile the executor issued.
     const BatchProfile* profile = nullptr;
-    /// The hybrid dispatcher's routing verdict with the predictions it was
-    /// based on; absent in dispatcherless runs.
-    std::optional<dispatch::PlacementDecision> decision;
     /// The member requests, oldest first, with ABSOLUTE arrival timestamps.
     std::vector<Request> requests;
 };

@@ -149,39 +149,6 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
 
             const BatchProfile& profile = session.Profile(decision.dispatch);
 
-            // Predict-then-place (src/dispatch/): price the batch on CPU,
-            // GPU, and GPU-fused from the captured profiles and route it.
-            // The estimate charges the device placements the worst-case
-            // all-miss state volume — the same bound the executors pay for
-            // uncached sessions. Cache-enabled sessions keep their batches
-            // on the device (state rows are device-resident; a host run
-            // would bypass them), so CPU placement is masked for them.
-            const BatchProfile* exec_profile = &profile;
-            dispatch::Placement placement = dispatch::Placement::kGpu;
-            std::optional<dispatch::PlacementDecision> placed;
-            if (options.dispatcher != nullptr) {
-                DGNN_CHECK(session.Mode() == sim::ExecMode::kHybrid,
-                           "the hybrid dispatcher needs a hybrid session");
-                const BatchProfile& fused_profile =
-                    session.FusedProfile(decision.dispatch);
-                dispatch::WorkEstimate estimate;
-                estimate.batch_size = profile.batch_size;
-                estimate.host_us = profile.host_us;
-                estimate.h2d_bytes =
-                    profile.h2d_bytes +
-                    profile.state_rows * profile.state_row_bytes;
-                estimate.d2h_bytes = profile.d2h_bytes;
-                estimate.kernels = &profile.kernels;
-                estimate.fused_kernels = &fused_profile.kernels;
-                placed = options.dispatcher->Decide(
-                    estimate, /*allow_cpu=*/!session.CacheEnabled());
-                placement = placed->placement;
-                if (placement == dispatch::Placement::kGpuFused) {
-                    exec_profile = &fused_profile;
-                }
-                ++report.placement_batches[static_cast<size_t>(placement)];
-            }
-
             // Resolve the batch's state gather against the session's live
             // cache (warm across batches and runs). Blind endpoints (a
             // src or dst of -1) are charged their share of the probe's
@@ -257,9 +224,8 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             }
 
             BatchSpans spans;
-            const sim::SimTime completion = executor->SubmitPlaced(
-                placement, *exec_profile, cache_cost,
-                observer != nullptr ? &spans : nullptr);
+            const sim::SimTime completion = executor->Submit(
+                profile, cache_cost, observer != nullptr ? &spans : nullptr);
             last_completion = std::max(last_completion, completion);
             BatchObservation ob;
             if (observer != nullptr) {
@@ -270,8 +236,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                 ob.spans = spans;
                 ob.cache_cost = cache_cost;
                 ob.exchange = exchange;
-                ob.profile = exec_profile;
-                ob.decision = placed;
+                ob.profile = &profile;
                 ob.requests.assign(queue.begin(),
                                    queue.begin() + decision.dispatch);
             }

@@ -11,7 +11,6 @@
 /// throughput; FindMaxQpsUnderSlo searches for the highest offered rate
 /// whose p99 stays under an SLO.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "core/latency_histogram.hpp"
-#include "dispatch/dispatcher.hpp"
 #include "serve/arrival_source.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/executor.hpp"
@@ -66,15 +64,6 @@ struct ServerOptions {
     /// exchange before the batch executes. Null — the default — skips the
     /// seam entirely. Borrowed; must outlive the run.
     BatchShardHook* shard_hook = nullptr;
-    /// Optional per-batch hybrid dispatcher (src/dispatch/): predicts each
-    /// dispatched batch's CPU / GPU / GPU-fused cost from the session's
-    /// captured profiles and routes the batch accordingly
-    /// (predict-then-place). Hybrid sessions only. CPU routing is masked
-    /// for cache-enabled sessions (their state is device-resident). Null —
-    /// the default — keeps every batch on the executor's device path with
-    /// the unfused profile, bit-identical to dispatcherless serving.
-    /// Borrowed; must outlive the run.
-    const dispatch::HybridDispatcher* dispatcher = nullptr;
 };
 
 /// Everything one serving run produces.
@@ -111,9 +100,6 @@ struct ServingReport {
     /// Cross-shard exchange totals across the run's batches (all-zero
     /// without a shard hook — every unsharded run).
     ExchangeCost exchange;
-    /// Batches the dispatcher routed to each placement, indexed by
-    /// dispatch::Placement (all-zero without a dispatcher).
-    std::array<int64_t, dispatch::kNumPlacements> placement_batches{};
 };
 
 /// Runs one serving simulation of @p arrivals (relative timestamps, sorted)

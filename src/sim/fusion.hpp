@@ -15,8 +15,7 @@
 ///   irregular        any irregular part poisons the whole chain: the fused
 ///                    kernel inherits the worst access pattern, which is why
 ///                    fusing a regular GEMM behind a gather can LOSE on
-///                    byte-bound chains and why placement stays a per-batch
-///                    decision (src/dispatch/) instead of a global switch
+///                    byte-bound chains
 ///
 /// Collapse() is device-independent: the same collapsed descriptor prices on
 /// any DeviceSpec via the unchanged KernelDuration(), so fused launches flow

@@ -1,20 +1,17 @@
-// Kernel fusion + hybrid dispatch: the Collapse algebra over the analytic
-// cost model, the registered per-model chains (identical numerics, fewer
-// launches), the predict-then-place dispatcher, and its serving integration
-// (placement accounting, identity with the dispatcherless path, hazard
-// freedom). Labelled `fusion` in CTest.
+// Kernel fusion: the Collapse algebra over the analytic cost model, the
+// registered per-model chains (identical numerics, fewer launches), fused
+// profile capture, and hazard freedom of fused and CPU-only serving.
+// Labelled `fusion` in CTest.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/hazard_checker.hpp"
-#include "dispatch/dispatcher.hpp"
 #include "models/fusion_catalog.hpp"
 #include "models/jodie.hpp"
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
-#include "obs/attribution.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/server.hpp"
@@ -307,161 +304,22 @@ TEST(ModelFusionTest, JodieChecksumIdenticalWithFewerLaunches)
         [&] { return std::make_unique<models::Jodie>(ds, models::JodieConfig{}); });
 }
 
-TEST(ModelFusionTest, FusedProfileKeepsHostAndTransferVolumes)
+TEST(ModelFusionTest, FusedSessionKeepsHostAndTransferVolumes)
 {
     const auto ds = TinyInteractions();
     models::Tgn tgn(ds, models::TgnConfig{64, 32, 1, 11});
-    serve::ModelSession session(tgn, sim::ExecMode::kHybrid,
-                                /*num_neighbors=*/4);
+    serve::ModelSession plain(tgn, sim::ExecMode::kHybrid,
+                              /*num_neighbors=*/4);
+    serve::ModelSession fused_session(tgn, sim::ExecMode::kHybrid,
+                                      /*num_neighbors=*/4, {},
+                                      /*fuse_kernels=*/true);
 
-    const serve::BatchProfile& unfused = session.Profile(16);
-    const serve::BatchProfile& fused = session.FusedProfile(16);
+    const serve::BatchProfile& unfused = plain.Profile(16);
+    const serve::BatchProfile& fused = fused_session.Profile(16);
     EXPECT_LT(fused.kernels.size(), unfused.kernels.size());
     EXPECT_DOUBLE_EQ(fused.host_us, unfused.host_us);
     EXPECT_EQ(fused.h2d_bytes, unfused.h2d_bytes);
     EXPECT_EQ(fused.d2h_bytes, unfused.d2h_bytes);
-
-    // Both memos are stable across calls.
-    EXPECT_EQ(&session.FusedProfile(16), &fused);
-    EXPECT_EQ(&session.Profile(16), &unfused);
-}
-
-// ------------------------------------------------------------- dispatcher
-
-dispatch::WorkEstimate
-Estimate(const std::vector<sim::KernelDesc>& kernels,
-         const std::vector<sim::KernelDesc>* fused_kernels, int64_t batch,
-         double host_us, int64_t h2d, int64_t d2h)
-{
-    dispatch::WorkEstimate estimate;
-    estimate.batch_size = batch;
-    estimate.host_us = host_us;
-    estimate.h2d_bytes = h2d;
-    estimate.d2h_bytes = d2h;
-    estimate.kernels = &kernels;
-    estimate.fused_kernels = fused_kernels;
-    return estimate;
-}
-
-TEST(DispatcherTest, TinyBatchStaysOnHostLargeBatchGoesToDevice)
-{
-    const dispatch::HybridDispatcher dispatcher;
-
-    // Tiny launch-bound batch: two PCIe latencies dwarf the work.
-    const std::vector<sim::KernelDesc> tiny = {Desc("small", 2000, 8192, 8)};
-    const dispatch::PlacementDecision on_host =
-        dispatcher.Decide(Estimate(tiny, nullptr, 4, 5.0, 4096, 1024));
-    EXPECT_EQ(on_host.placement, dispatch::Placement::kCpu);
-    EXPECT_LT(on_host.predicted_cpu_us, on_host.predicted_gpu_us);
-
-    // Dense wide batch: device throughput wins despite the transfers.
-    const std::vector<sim::KernelDesc> dense = {
-        Desc("gemm", 2000000000, 64000000, 200000)};
-    const dispatch::PlacementDecision on_device = dispatcher.Decide(
-        Estimate(dense, nullptr, 256, 50.0, 8000000, 1000000));
-    EXPECT_EQ(on_device.placement, dispatch::Placement::kGpu);
-    EXPECT_LT(on_device.predicted_gpu_us, on_device.predicted_cpu_us);
-}
-
-TEST(DispatcherTest, FusedChainWinsWhenItSavesLaunches)
-{
-    const dispatch::HybridDispatcher dispatcher;
-    const std::vector<sim::KernelDesc> unfused = {
-        Desc("a", 500000000, 16000000, 200000),
-        Desc("b", 500000000, 16000000, 200000),
-        Desc("c", 500000000, 16000000, 200000),
-        Desc("d", 500000000, 16000000, 200000)};
-    sim::FusedKernelDesc chain;
-    chain.name = "abcd";
-    chain.parts = unfused;
-    chain.intermediate_bytes = {8000000, 8000000, 8000000};
-    const std::vector<sim::KernelDesc> fused = {sim::Collapse(chain)};
-
-    const dispatch::PlacementDecision decision = dispatcher.Decide(
-        Estimate(unfused, &fused, 256, 50.0, 8000000, 1000000));
-    EXPECT_EQ(decision.placement, dispatch::Placement::kGpuFused);
-    EXPECT_LT(decision.predicted_gpu_fused_us, decision.predicted_gpu_us);
-}
-
-TEST(DispatcherTest, DecisionsAreDeterministic)
-{
-    const dispatch::HybridDispatcher dispatcher;
-    const std::vector<sim::KernelDesc> kernels = {
-        Desc("k", 1000000, 250000, 512, /*irregular=*/true)};
-    const dispatch::WorkEstimate estimate =
-        Estimate(kernels, nullptr, 32, 12.0, 65536, 8192);
-
-    const dispatch::PlacementDecision first = dispatcher.Decide(estimate);
-    for (int i = 0; i < 10; ++i) {
-        const dispatch::PlacementDecision again = dispatcher.Decide(estimate);
-        EXPECT_EQ(again.placement, first.placement);
-        EXPECT_DOUBLE_EQ(again.predicted_cpu_us, first.predicted_cpu_us);
-        EXPECT_DOUBLE_EQ(again.predicted_gpu_us, first.predicted_gpu_us);
-        EXPECT_DOUBLE_EQ(again.predicted_gpu_fused_us,
-                         first.predicted_gpu_fused_us);
-    }
-}
-
-TEST(DispatcherTest, StaticModesForceThePlacement)
-{
-    const std::vector<sim::KernelDesc> kernels = {Desc("k", 2000, 8192, 8)};
-    const std::vector<sim::KernelDesc> fused = {Desc("k_fused", 2000, 8192, 8)};
-    const dispatch::WorkEstimate estimate =
-        Estimate(kernels, &fused, 4, 5.0, 4096, 1024);
-    const dispatch::WorkEstimate no_fused =
-        Estimate(kernels, nullptr, 4, 5.0, 4096, 1024);
-
-    const auto decide = [](const dispatch::WorkEstimate& e,
-                           dispatch::DispatchMode mode, bool allow_cpu) {
-        dispatch::DispatcherConfig config;
-        config.mode = mode;
-        return dispatch::HybridDispatcher(config).Decide(e, allow_cpu);
-    };
-
-    EXPECT_EQ(decide(estimate, dispatch::DispatchMode::kStaticCpu, true)
-                  .placement,
-              dispatch::Placement::kCpu);
-    EXPECT_EQ(decide(estimate, dispatch::DispatchMode::kStaticGpu, true)
-                  .placement,
-              dispatch::Placement::kGpu);
-    EXPECT_EQ(decide(estimate, dispatch::DispatchMode::kStaticGpuFused, true)
-                  .placement,
-              dispatch::Placement::kGpuFused);
-    // Masked CPU: the static-CPU policy falls back to the device, and the
-    // hybrid never picks the host even when it predicts cheapest (the tied
-    // device predictions then break toward the fused launch).
-    EXPECT_EQ(decide(estimate, dispatch::DispatchMode::kStaticCpu, false)
-                  .placement,
-              dispatch::Placement::kGpu);
-    EXPECT_EQ(decide(estimate, dispatch::DispatchMode::kHybrid, false)
-                  .placement,
-              dispatch::Placement::kGpuFused);
-    // Without a fused chain, kGpuFused collapses into kGpu everywhere.
-    EXPECT_EQ(decide(no_fused, dispatch::DispatchMode::kStaticGpuFused, true)
-                  .placement,
-              dispatch::Placement::kGpu);
-    EXPECT_EQ(decide(no_fused, dispatch::DispatchMode::kHybrid, false)
-                  .placement,
-              dispatch::Placement::kGpu);
-}
-
-TEST(DispatcherTest, StatsExposeSparsityAndLaunchSignals)
-{
-    const std::vector<sim::KernelDesc> kernels = {
-        Desc("gather", 0, 3000, 64, /*irregular=*/true),
-        Desc("gemm", 1000, 1000, 512)};
-    const dispatch::BatchStats stats = dispatch::HybridDispatcher::Stats(
-        Estimate(kernels, nullptr, 32, 1.0, 100, 50));
-    EXPECT_EQ(stats.batch_size, 32);
-    EXPECT_EQ(stats.launches, 2);
-    EXPECT_EQ(stats.fused_launches, 2);  // no fused chain offered
-    EXPECT_EQ(stats.transfer_bytes, 150);
-    EXPECT_DOUBLE_EQ(stats.irregular_byte_frac, 0.75);
-    EXPECT_EQ(stats.max_parallel_items, 512);
-
-    dispatch::WorkEstimate no_kernels;
-    EXPECT_THROW((void)dispatch::HybridDispatcher::Stats(no_kernels),
-                 dgnn::Error);
 }
 
 // ------------------------------------------------------ serving integration
@@ -491,166 +349,10 @@ ServingRequests(const data::InteractionDataset& dataset, int64_t n)
     return scenario::GenerateRequests(s, dataset, n);
 }
 
-serve::ServingReport
-ServeWith(models::DgnnModel& model, const std::vector<serve::Request>& requests,
-          serve::ExecutorKind kind, const dispatch::HybridDispatcher* dispatcher,
-          serve::ServingObserver* observer = nullptr,
-          sim::RuntimeObserver* runtime_observer = nullptr)
-{
-    serve::ModelSession session(model, sim::ExecMode::kHybrid,
-                                /*num_neighbors=*/4);
-    serve::TimeoutPolicy policy(/*batch_size=*/32, /*timeout_us=*/5000.0);
-    serve::ServerOptions options;
-    options.executor = kind;
-    options.dispatcher = dispatcher;
-    options.observer = observer;
-    options.runtime_observer = runtime_observer;
-    return serve::ServeRequests(session, policy, requests, options);
-}
-
-TEST(DispatchServingTest, HybridRoutesEveryBatchAndReportsTheMix)
-{
-    const auto dataset = ServingDataset();
-    const auto requests = ServingRequests(dataset, 256);
-    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
-
-    for (const serve::ExecutorKind kind :
-         {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
-        const dispatch::HybridDispatcher dispatcher;
-        const serve::ServingReport report =
-            ServeWith(tgn, requests, kind, &dispatcher);
-        EXPECT_EQ(report.requests, 256);
-        int64_t routed = 0;
-        for (const int64_t n : report.placement_batches) {
-            routed += n;
-        }
-        EXPECT_EQ(routed, report.batches);
-        EXPECT_GT(report.achieved_qps, 0.0);
-    }
-}
-
-TEST(DispatchServingTest, StaticGpuDispatcherIsIdenticalToDispatcherless)
-{
-    // kGpu placement forwards to the plain Submit with the unfused profile,
-    // so a static-GPU dispatcher must reproduce the dispatcherless run
-    // bit-for-bit — the identity contract of the SubmitPlaced seam.
-    const auto dataset = ServingDataset();
-    const auto requests = ServingRequests(dataset, 256);
-    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
-
-    for (const serve::ExecutorKind kind :
-         {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
-        const serve::ServingReport baseline =
-            ServeWith(tgn, requests, kind, nullptr);
-        dispatch::DispatcherConfig config;
-        config.mode = dispatch::DispatchMode::kStaticGpu;
-        const dispatch::HybridDispatcher dispatcher(config);
-        const serve::ServingReport routed =
-            ServeWith(tgn, requests, kind, &dispatcher);
-
-        EXPECT_DOUBLE_EQ(routed.makespan_us, baseline.makespan_us);
-        EXPECT_DOUBLE_EQ(routed.achieved_qps, baseline.achieved_qps);
-        EXPECT_EQ(routed.batches, baseline.batches);
-        EXPECT_EQ(routed.h2d_bytes, baseline.h2d_bytes);
-        EXPECT_EQ(routed.d2h_bytes, baseline.d2h_bytes);
-        EXPECT_DOUBLE_EQ(routed.latency.P99(), baseline.latency.P99());
-        // The only difference is the placement accounting.
-        EXPECT_EQ(routed.placement_batches[static_cast<size_t>(
-                      dispatch::Placement::kGpu)],
-                  routed.batches);
-        for (const int64_t n : baseline.placement_batches) {
-            EXPECT_EQ(n, 0);
-        }
-    }
-}
-
-TEST(DispatchServingTest, DispatcherRequiresAHybridSession)
-{
-    const auto dataset = ServingDataset();
-    const auto requests = ServingRequests(dataset, 32);
-    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
-
-    serve::ModelSession session(tgn, sim::ExecMode::kCpuOnly,
-                                /*num_neighbors=*/4);
-    serve::TimeoutPolicy policy(32, 5000.0);
-    const dispatch::HybridDispatcher dispatcher;
-    serve::ServerOptions options;
-    options.dispatcher = &dispatcher;
-    EXPECT_THROW((void)serve::ServeRequests(session, policy, requests, options),
-                 dgnn::Error);
-}
-
-TEST(DispatchServingTest, CacheEnabledSessionNeverRoutesToCpu)
-{
-    const auto dataset = ServingDataset();
-    const auto requests = ServingRequests(dataset, 256);
-    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
-
-    cache::DeviceCacheConfig cache_config;
-    cache_config.capacity_bytes =
-        dataset.NumNodes() / 4 * tgn.CacheRowBytes();
-    cache_config.eviction = cache::EvictionPolicy::kLru;
-    serve::ModelSession session(tgn, sim::ExecMode::kHybrid,
-                                /*num_neighbors=*/4, cache_config);
-    ASSERT_TRUE(session.CacheEnabled());
-
-    serve::TimeoutPolicy policy(32, 5000.0);
-    const dispatch::HybridDispatcher dispatcher;
-    serve::ServerOptions options;
-    options.executor = serve::ExecutorKind::kSerial;
-    options.dispatcher = &dispatcher;
-    const serve::ServingReport report =
-        serve::ServeRequests(session, policy, requests, options);
-    EXPECT_EQ(
-        report.placement_batches[static_cast<size_t>(dispatch::Placement::kCpu)],
-        0);
-    EXPECT_GT(report.batches, 0);
-}
-
-// Forwards batch observations into a DispatchLedger.
-class LedgerObserver final : public serve::ServingObserver {
-  public:
-    void OnBatch(const serve::BatchObservation& ob) override
-    {
-        ledger_.OnBatch(ob);
-    }
-    const obs::DispatchLedger& Ledger() const { return ledger_; }
-
-  private:
-    obs::DispatchLedger ledger_;
-};
-
-TEST(DispatchServingTest, LedgerAccountsEveryRoutedBatch)
-{
-    const auto dataset = ServingDataset();
-    const auto requests = ServingRequests(dataset, 256);
-    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
-
-    const dispatch::HybridDispatcher dispatcher;
-    LedgerObserver observer;
-    const serve::ServingReport report = ServeWith(
-        tgn, requests, serve::ExecutorKind::kSerial, &dispatcher, &observer);
-
-    const obs::DispatchLedger& ledger = observer.Ledger();
-    EXPECT_EQ(ledger.RoutedBatches(), report.batches);
-    for (int i = 0; i < dispatch::kNumPlacements; ++i) {
-        EXPECT_EQ(ledger.Buckets()[static_cast<size_t>(i)].batches,
-                  report.placement_batches[static_cast<size_t>(i)]);
-    }
-    // On the serial executor the cost-model predictions track the measured
-    // in-executor spans closely (they differ only by per-launch submit/sync
-    // overheads); a wildly wrong prediction means the seam broke.
-    EXPECT_LT(ledger.MeanRelativeError(), 0.5);
-
-    // A dispatcherless run routes nothing through the ledger.
-    LedgerObserver idle;
-    (void)ServeWith(tgn, requests, serve::ExecutorKind::kSerial, nullptr,
-                    &idle);
-    EXPECT_EQ(idle.Ledger().RoutedBatches(), 0);
-}
-
 TEST(DispatchServingTest, FusedAndRoutedServingIsHazardFree)
 {
+    // The two sessions that serve placements other than the default
+    // hybrid one: hybrid with fused capture, and CPU-only.
     const auto dataset = ServingDataset();
     const auto requests = ServingRequests(dataset, 256);
     models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
@@ -658,18 +360,29 @@ TEST(DispatchServingTest, FusedAndRoutedServingIsHazardFree)
 
     for (models::DgnnModel* model :
          std::vector<models::DgnnModel*>{&tgn, &jodie}) {
-        for (const serve::ExecutorKind kind :
-             {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
-            const dispatch::HybridDispatcher dispatcher;
-            analysis::HazardChecker checker;
-            (void)ServeWith(*model, requests, kind, &dispatcher, nullptr,
-                            &checker);
-            const analysis::HazardReport report = checker.Report();
-            EXPECT_TRUE(report.Clean())
-                << model->Name() << " / " << serve::ToString(kind) << "\n"
-                << report.ToText();
-            EXPECT_GT(report.ops, 0);
-            EXPECT_GT(report.writes, 0);
+        for (const bool cpu_only : {false, true}) {
+            serve::ModelSession session(
+                *model,
+                cpu_only ? sim::ExecMode::kCpuOnly : sim::ExecMode::kHybrid,
+                /*num_neighbors=*/4, {}, /*fuse_kernels=*/!cpu_only);
+            for (const serve::ExecutorKind kind :
+                 {serve::ExecutorKind::kSerial,
+                  serve::ExecutorKind::kPipelined}) {
+                serve::TimeoutPolicy policy(/*batch_size=*/32,
+                                            /*timeout_us=*/5000.0);
+                analysis::HazardChecker checker;
+                serve::ServerOptions options;
+                options.executor = kind;
+                options.runtime_observer = &checker;
+                (void)serve::ServeRequests(session, policy, requests, options);
+                const analysis::HazardReport report = checker.Report();
+                EXPECT_TRUE(report.Clean())
+                    << model->Name() << " / " << sim::ToString(session.Mode())
+                    << " / " << serve::ToString(kind) << "\n"
+                    << report.ToText();
+                EXPECT_GT(report.ops, 0);
+                EXPECT_GT(report.writes, 0);
+            }
         }
     }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -298,6 +299,43 @@ TEST(ModelSessionTest, ProfilesExcludeOneTimeSetUp)
     const int64_t narrow = batch_h2d(8);
     EXPECT_GT(narrow, 0);
     EXPECT_EQ(narrow, batch_h2d(320));
+}
+
+// Constructs @p make() and expects a dgnn::Error whose message names
+// @p field.
+template <typename MakeFn>
+void
+ExpectErrorNaming(MakeFn make, const std::string& field)
+{
+    try {
+        make();
+        ADD_FAILURE() << "no dgnn::Error for " << field;
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ModelSessionTest, NegativeCacheCapacityThrowsNamingTheField)
+{
+    // The session builds its cache only for a positive capacity, so a
+    // negative one must be caught before that or it serves uncached.
+    const auto ds = TinyInteractions();
+    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
+    cache::DeviceCacheConfig cache_config;
+    cache_config.capacity_bytes = -4096;
+    ExpectErrorNaming(
+        [&] { (void)ModelSession(tgn, sim::ExecMode::kHybrid, 4, cache_config); },
+        "cache_config.capacity_bytes");
+}
+
+TEST(ModelSessionTest, NegativeNeighborFanOutThrowsNamingTheField)
+{
+    // Rejected at construction, not at the first capture inside a run.
+    const auto ds = TinyInteractions();
+    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
+    ExpectErrorNaming([&] { (void)ModelSession(tgn, sim::ExecMode::kHybrid, -1); },
+                      "num_neighbors");
 }
 
 // ----------------------------------------------------------------- serving
