@@ -35,6 +35,9 @@ main()
         models::RunConfig run;
         run.batch_size = batch;
         run.numeric_cap = 8;
+        // The paper's profiled schedule: per-frame pageable copies are the
+        // movement bottleneck this example reports.
+        run.schedule = models::Schedule::kEager;
         const models::RunResult r = model.RunInference(runtime, run);
 
         std::cout << "\nbatch " << batch << ": total "

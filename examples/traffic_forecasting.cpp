@@ -26,6 +26,9 @@ main()
         models::RunConfig run;
         run.batch_size = batch;
         run.max_events = 128;
+        // The paper's profiled schedule: the phase shares below are the
+        // measured eager-PyTorch bottleneck.
+        run.schedule = models::Schedule::kEager;
         const models::RunResult r = model.RunInference(runtime, run);
         std::cout << "\nbatch " << batch << ": total "
                   << sim::FormatDuration(r.total_us) << ", GPU utilization "

@@ -44,6 +44,7 @@
 #include "sim/runtime.hpp"
 #include "sim/runtime_observer.hpp"
 #include "sim/sim_time.hpp"
+#include "sim/staging.hpp"
 #include "sim/stream.hpp"
 #include "sim/topology.hpp"
 #include "sim/trace.hpp"

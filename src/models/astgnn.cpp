@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "models/evolvegcn.hpp"  // ToNormalizedCsr
+#include "sim/staging.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
@@ -31,7 +32,7 @@ Astgnn::WeightBytes() const
 void
 Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
                                const char* label, int64_t batch, int64_t steps,
-                               int64_t numeric_cap, const Tensor& window,
+                               const RunConfig& run, const Tensor& window,
                                Checksum& checksum)
 {
     sim::Runtime& runtime = exec.GetRuntime();
@@ -49,11 +50,11 @@ Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
     attn.bytes = batch * sensors * steps * d * 4 * 4;
     attn.parallel_items = batch * sensors * steps * d;
     runtime.Launch(attn);
-    (void)runtime.Synchronize();
+    PhaseBarrier(runtime, run);
 
     // Numeric path: real attention over real sensor histories, capped.
-    const int64_t cap = numeric_cap > 0 ? std::min(numeric_cap, sensors)
-                                        : std::min<int64_t>(4, sensors);
+    const int64_t cap = run.numeric_cap > 0 ? std::min(run.numeric_cap, sensors)
+                                            : std::min<int64_t>(4, sensors);
     const int64_t rows = std::min<int64_t>(steps, window.Dim(0));
     for (int64_t s = 0; s < std::min<int64_t>(cap, 4); ++s) {
         // [steps, channels] history of sensor s from the real signal.
@@ -71,11 +72,12 @@ Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
 
 void
 Astgnn::SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler, int64_t batch,
-                        int64_t steps, int64_t numeric_cap, Checksum& checksum)
+                        int64_t steps, const RunConfig& run, Checksum& checksum)
 {
     core::ProfileScope scope(profiler, "Spatial-attention GCN");
     const int64_t d = config_.model_dim;
-    const int64_t cap = numeric_cap > 0 ? std::min<int64_t>(numeric_cap, steps) : steps;
+    const int64_t cap =
+        run.numeric_cap > 0 ? std::min<int64_t>(run.numeric_cap, steps) : steps;
 
     // Cost: one fused aggregate+transform kernel over all (window, step)
     // pairs. The road graph is static and preprocessed, so accesses are
@@ -89,7 +91,7 @@ Astgnn::SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler, int64_t batc
                 (road_csr_.Nnz() * 12 + 2 * road_csr_.n * d * 4);
     gcn.parallel_items = batch * steps * road_csr_.n * d;
     runtime.Launch(gcn);
-    (void)runtime.Synchronize();
+    PhaseBarrier(runtime, run);
 
     // Numeric path: real spatial convolution over the per-sensor means of
     // the real signal, for one capped step.
@@ -141,18 +143,23 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
+    const bool staged = run.schedule == Schedule::kStaged;
+    sim::StagingPipeline staging(runtime, kStagedInFlight);
+    const sim::SlotResources eager_slot(0);
 
     for (int64_t begin = 0; begin < samples; begin += bs) {
         const int64_t end = std::min(begin + bs, samples);
         const int64_t nb = end - begin;
         const int64_t window_bytes =
             sensors * dataset_.spec.channels * (hist + horizon) * 4;
+        const sim::SlotResources& slot = staged ? staging.Admit() : eager_slot;
 
         profiler.Begin("iteration");
 
         // --- Etc: CPU-side window gather (data loading).
         {
             core::ProfileScope scope(profiler, "Etc(data loading, cuda sync)");
+            sim::MaybeAccess access(runtime, [&] { return slot.HostBuildAccess(); });
             ChargeBatchOverhead(runtime);
             sim::KernelDesc load;
             load.name = "window_gather";
@@ -167,8 +174,16 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             nb * sensors * (hist + horizon) * d * 4, "astgnn_batch");
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            runtime.CopyToDevice(nb * window_bytes, "windows_h2d");
+            if (staged) {
+                staging.StageInputs(nb * window_bytes, "windows_h2d");
+            } else {
+                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
+                runtime.CopyToDevice(nb * window_bytes, "windows_h2d");
+            }
         }
+
+        // The batch's kernels; the result copy below declares its own.
+        sim::MaybeAccess kernels(runtime, [&] { return slot.KernelAccess(); });
 
         // --- Position Encoding.
         {
@@ -187,10 +202,10 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         const Tensor window = dataset_.Window(begin, hist);
         for (int64_t l = 0; l < config_.encoder_layers; ++l) {
             TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, hist,
-                                   run.numeric_cap, window, checksum);
-            SpatialGcnPhase(exec, profiler, nb, hist, run.numeric_cap, checksum);
+                                   run, window, checksum);
+            SpatialGcnPhase(exec, profiler, nb, hist, run, checksum);
         }
-        (void)runtime.Synchronize();
+        PhaseBarrier(runtime, run);
         runtime.Marker("encoder_end");
         profiler.End();
 
@@ -199,10 +214,10 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         runtime.Marker("decoder_begin");
         for (int64_t l = 0; l < config_.decoder_layers; ++l) {
             TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, horizon,
-                                   run.numeric_cap, window, checksum);
+                                   run, window, checksum);
             TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, horizon,
-                                   run.numeric_cap, window, checksum);
-            SpatialGcnPhase(exec, profiler, nb, horizon, run.numeric_cap, checksum);
+                                   run, window, checksum);
+            SpatialGcnPhase(exec, profiler, nb, horizon, run, checksum);
         }
         runtime.Marker("decoder_end");
         profiler.End();
@@ -210,18 +225,25 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Etc: end-of-iteration CUDA synchronization.
         {
             core::ProfileScope scope(profiler, "Etc(data loading, cuda sync)");
-            (void)runtime.Synchronize();
+            PhaseBarrier(runtime, run);
         }
 
         // --- Memory Copy: predictions D2H.
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            runtime.CopyToHost(nb * sensors * dataset_.spec.channels * horizon * 4,
-                               "predictions_d2h");
+            const int64_t out_bytes =
+                nb * sensors * dataset_.spec.channels * horizon * 4;
+            if (staged) {
+                staging.Retire(out_bytes, "predictions_d2h", std::move(act));
+            } else {
+                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
+                runtime.CopyToHost(out_bytes, "predictions_d2h");
+            }
         }
         profiler.End();  // iteration
         ++iterations;
     }
+    staging.Drain();
 
     RunResult result =
         CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);

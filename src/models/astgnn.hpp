@@ -17,6 +17,9 @@
 ///
 /// Temporal attention totals > 3x the spatial GCN (paper 4.2.2); large
 /// batches saturate the GPU and delay the next iteration's encoder (Fig 9).
+/// That is the eager schedule, which synchronizes after every phase; the
+/// staged schedule (RunConfig::schedule) drops the per-phase syncs and
+/// keeps two batches in flight (DESIGN.md §14).
 
 #include <memory>
 #include <vector>
@@ -50,12 +53,12 @@ class Astgnn : public DgnnModel {
     /// One temporal-attention block over [steps, dim] per sensor.
     void TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
                                 const char* label, int64_t batch, int64_t steps,
-                                int64_t numeric_cap, const Tensor& window,
+                                const RunConfig& run, const Tensor& window,
                                 Checksum& checksum);
 
     /// One spatial dynamic-GCN block over the sensor graph.
     void SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler, int64_t batch,
-                        int64_t steps, int64_t numeric_cap, Checksum& checksum);
+                        int64_t steps, const RunConfig& run, Checksum& checksum);
 
     const data::TrafficDataset& dataset_;
     AstgnnConfig config_;

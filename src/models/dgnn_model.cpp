@@ -21,6 +21,14 @@ ChargeBatchOverhead(sim::Runtime& runtime)
 }
 
 void
+PhaseBarrier(sim::Runtime& runtime, const RunConfig& run)
+{
+    if (run.schedule == Schedule::kEager) {
+        (void)runtime.Synchronize();
+    }
+}
+
+void
 ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config)
 {
     DGNN_CHECK(config.batch_size > 0, "batch_size must be positive, got ",
@@ -31,10 +39,11 @@ ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config)
                config.max_events);
     DGNN_CHECK(config.numeric_cap >= 0, "numeric_cap must be non-negative, got ",
                config.numeric_cap);
-    DGNN_CHECK(config.mode == runtime.Mode(),
-               "RunConfig mode does not match the runtime's execution mode");
+    DGNN_CHECK(config.mode == runtime.Mode(), "mode must match the runtime's: got ",
+               sim::ToString(config.mode), ", runtime is ",
+               sim::ToString(runtime.Mode()));
     DGNN_CHECK(config.cache.capacity_bytes >= 0,
-               "cache capacity must be non-negative, got ",
+               "cache.capacity_bytes must be non-negative, got ",
                config.cache.capacity_bytes);
 }
 
@@ -59,6 +68,9 @@ SingleBatchProbe(sim::ExecMode mode, int64_t batch_size, int64_t num_neighbors)
     run.max_events = batch_size;
     run.numeric_cap = 1;
     run.include_warmup = false;
+    // The serving executors apply their own schedule to the captured
+    // profile; capture the per-phase eager issue order.
+    run.schedule = Schedule::kEager;
     return run;
 }
 

@@ -32,6 +32,26 @@
 
 namespace dgnn::models {
 
+/// How the DTDG models (EvolveGCN-O/-H, MolDGNN, ASTGNN) issue their
+/// mini-batches on a hybrid runtime (DESIGN.md §14). The CTDG models have
+/// one schedule and ignore the choice; CPU-only runs are identical under
+/// both, because the async primitives staged relies on are no-ops there.
+enum class Schedule {
+    /// Each mini-batch's inputs cross PCIe as one pinned async copy fenced
+    /// into the compute stream (EvolveGCN: only the changed edges after
+    /// step 0), results return as one async copy behind a compute event,
+    /// the host never synchronizes per phase, and kStagedInFlight
+    /// mini-batches stay in flight (sim::StagingPipeline).
+    kStaged,
+    /// The paper's profiled eager-PyTorch path: blocking pageable copies
+    /// as the reference code issues them and a device synchronization
+    /// after every phase. Paper figures pin this schedule.
+    kEager,
+};
+
+/// Mini-batches the staged schedule keeps in flight (double buffering).
+constexpr int64_t kStagedInFlight = 2;
+
 /// Per-run execution configuration shared by every model.
 struct RunConfig {
     sim::ExecMode mode = sim::ExecMode::kHybrid;
@@ -57,6 +77,9 @@ struct RunConfig {
     /// default — reproduces the historical unfused launch sequence
     /// bit-for-bit.
     bool fuse_kernels = false;
+    /// DTDG mini-batch schedule (see Schedule). Cost-shape only: the host
+    /// numerics, and so the checksums, are identical under both.
+    Schedule schedule = Schedule::kStaged;
 };
 
 /// Everything a measured inference run produces.
@@ -139,8 +162,15 @@ constexpr sim::SimTime kFrameworkBatchOverheadUs = 250.0;
 /// Charges the per-batch framework overhead to the current category.
 void ChargeBatchOverhead(sim::Runtime& runtime);
 
+/// The eager schedule's per-phase barrier: blocks the host until the
+/// device drains (the cudaDeviceSynchronize the paper profiles). No-op
+/// under the staged schedule, where only a batch's done-event orders the
+/// host.
+void PhaseBarrier(sim::Runtime& runtime, const RunConfig& run);
+
 /// Validates a run configuration (positive batch size, sane neighbor and
-/// cap values, mode matching the runtime). Every model calls this first.
+/// cap values, mode matching the runtime). Every model calls this first;
+/// each rejection is a dgnn::Error naming the offending field.
 void ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config);
 
 /// Builds the run's device cache: enabled only when the runtime is hybrid
@@ -152,11 +182,12 @@ cache::DeviceCache MakeRunCache(const sim::Runtime& runtime, const RunConfig& ru
                                 int64_t row_bytes);
 
 /// Single-batch probe configuration: runs exactly one mini-batch of
-/// @p batch_size items (max_events == batch_size) with warm-up disabled and
-/// numerics capped to one item. This is the batched entry point the online
-/// serving layer (serve::ModelSession) replays against a scratch runtime to
-/// capture a model's per-batch cost profile — cost accounting always covers
-/// the full batch (see the numeric_cap contract in the file header).
+/// @p batch_size items (max_events == batch_size) with warm-up disabled,
+/// numerics capped to one item and the eager schedule. This is the batched
+/// entry point the online serving layer (serve::ModelSession) replays
+/// against a scratch runtime to capture a model's per-batch cost profile —
+/// cost accounting always covers the full batch (see the numeric_cap
+/// contract in the file header).
 RunConfig SingleBatchProbe(sim::ExecMode mode, int64_t batch_size,
                            int64_t num_neighbors = 20);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "sim/staging.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
@@ -85,7 +86,7 @@ EvolveGcn::LayerWeight(int64_t layer) const
 
 void
 EvolveGcn::EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
-                         const Tensor& node_embeddings)
+                         const RunConfig& run, const Tensor& node_embeddings)
 {
     sim::Runtime& runtime = exec.GetRuntime();
     for (size_t l = 0; l < weights_.size(); ++l) {
@@ -122,14 +123,19 @@ EvolveGcn::EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
                     rnn_input.At(r, j) = x.At(src, j);
                 }
             }
-            // Host-side scoring + partial sort cost.
+            // Host-side scoring + partial sort cost. It reads only the
+            // host-resident features, never the batch's staged buffers.
             sim::KernelDesc topk;
             topk.name = "topk_select";
             topk.flops = 2 * n * layer_in_[l];
             topk.bytes = n * (layer_in_[l] * 4 + 64);
             topk.parallel_items = 1;
             topk.irregular = true;
-            runtime.RunHost(topk);
+            {
+                sim::MaybeAccess access(
+                    runtime, [] { return sim::AccessSet{{"node_features"}, {}}; });
+                runtime.RunHost(topk);
+            }
             // Gather kernel for the selected rows.
             sim::KernelDesc gather;
             gather.name = "topk_gather";
@@ -148,14 +154,28 @@ EvolveGcn::EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
             // -H uses the top-k rows (shaped [out_l, in_l] above).
             weights_[l] = exec.Gru(*weight_rnn_[l], rnn_input, weights_[l]);
             // GCN needs the fresh weights (Fig 2a). The in-order compute
-            // stream already enforces the data dependency; the baseline
-            // additionally stalls the host here (eager-mode behaviour),
-            // while the pipelined variant (Fig 10) lets the host run ahead.
-            if (!config_.pipelined) {
-                (void)runtime.Synchronize();
-            }
+            // stream already enforces the data dependency; the eager
+            // schedule additionally stalls the host here, while the staged
+            // one (Fig 10) lets the host run ahead.
+            PhaseBarrier(runtime, run);
         }
     }
+}
+
+int64_t
+EvolveGcn::DeltaBytes(int64_t t) const
+{
+    const graph::GraphSnapshot& snap = dataset_.sequence.Step(t);
+    if (t == 0) {
+        return snap.TopologyBytes() + dataset_.node_features.NumBytes();
+    }
+    const int64_t common = snap.CommonEdges(dataset_.sequence.Step(t - 1));
+    const double changed_frac =
+        snap.NumEdges() > 0
+            ? 1.0 - static_cast<double>(common) / static_cast<double>(snap.NumEdges())
+            : 0.0;
+    return static_cast<int64_t>(static_cast<double>(snap.TopologyBytes()) *
+                                changed_frac);
 }
 
 RunResult
@@ -185,42 +205,40 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             ? std::min<int64_t>(run.max_events, dataset_.sequence.NumSteps())
             : dataset_.sequence.NumSteps();
     Checksum checksum;
+    const bool staged = run.schedule == Schedule::kStaged;
+    sim::StagingPipeline staging(runtime, kStagedInFlight);
+    const sim::SlotResources eager_slot(0);
 
     for (int64_t t = 0; t < steps; ++t) {
         const graph::GraphSnapshot& snap = dataset_.sequence.Step(t);
+        const sim::SlotResources& slot = staged ? staging.Admit() : eager_slot;
 
-        // --- Memory Copy: baseline reloads the full snapshot every step;
-        // delta transfer (paper 5.2.2) sends only the edges that changed
-        // relative to the previous snapshot, and the node features once.
-        sim::DeviceBuffer snap_buf = runtime.AllocDevice(
-            snap.TopologyBytes() + dataset_.node_features.NumBytes(),
-            "evolvegcn_snapshot");
+        // --- Memory Copy: the eager schedule reloads the full snapshot
+        // every step; the staged one sends only the changed edges.
+        const int64_t snapshot_bytes =
+            snap.TopologyBytes() + dataset_.node_features.NumBytes();
+        sim::DeviceBuffer snap_buf =
+            runtime.AllocDevice(snapshot_bytes, "evolvegcn_snapshot");
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            ChargeBatchOverhead(runtime);
-            int64_t copy_bytes =
-                snap.TopologyBytes() + dataset_.node_features.NumBytes();
-            if (config_.delta_transfer) {
-                if (t == 0) {
-                    // First step: everything moves once.
-                } else {
-                    const graph::GraphSnapshot& prev =
-                        dataset_.sequence.Step(t - 1);
-                    const int64_t common = snap.CommonEdges(prev);
-                    const double changed_frac =
-                        snap.NumEdges() > 0
-                            ? 1.0 - static_cast<double>(common) /
-                                        static_cast<double>(snap.NumEdges())
-                            : 0.0;
-                    copy_bytes = static_cast<int64_t>(
-                        static_cast<double>(snap.TopologyBytes()) * changed_frac);
-                }
+            {
+                sim::MaybeAccess access(runtime,
+                                        [&] { return slot.HostBuildAccess(); });
+                ChargeBatchOverhead(runtime);
             }
-            runtime.CopyToDevice(copy_bytes, "snapshot_h2d");
+            if (staged) {
+                staging.StageInputs(DeltaBytes(t), "snapshot_h2d");
+            } else {
+                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
+                runtime.CopyToDevice(snapshot_bytes, "snapshot_h2d");
+            }
         }
 
+        // The step's kernels; the result copy below declares its own.
+        sim::MaybeAccess kernels(runtime, [&] { return slot.KernelAccess(); });
+
         // --- RNN (+ top-k for -H): evolve the GCN weights.
-        EvolveWeights(exec, profiler, dataset_.node_features);
+        EvolveWeights(exec, profiler, run, dataset_.node_features);
 
         // --- GNN: two GCN layers with the evolved weights.
         Tensor h = dataset_.node_features;
@@ -230,18 +248,22 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             for (size_t l = 0; l < gcn_layers_.size(); ++l) {
                 h = exec.GcnWithWeight(*gcn_layers_[l], a_hat, h, weights_[l]);
             }
-            if (!config_.pipelined) {
-                (void)runtime.Synchronize();
-            }
+            PhaseBarrier(runtime, run);
         }
         checksum.Add(h.RowSlice(0, std::min<int64_t>(4, h.Dim(0))));
 
         // --- Memory Copy: step outputs D2H.
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            runtime.CopyToHost(h.NumBytes(), "embeddings_d2h");
+            if (staged) {
+                staging.Retire(h.NumBytes(), "embeddings_d2h", std::move(snap_buf));
+            } else {
+                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
+                runtime.CopyToHost(h.NumBytes(), "embeddings_d2h");
+            }
         }
     }
+    staging.Drain();
 
     RunResult result = CollectRunStats(runtime, Name(), dataset_.spec.name, steps);
     result.warmup_one_time_us = warm_one;

@@ -7,7 +7,9 @@
 ///   per snapshot (sequential — weights evolve across time steps):
 ///     [Memory Copy]  snapshot CSR + node features H2D (the paper notes
 ///                    EvolveGCN reloads each snapshot rather than updating
-///                    on-chip, so this repeats every step)
+///                    on-chip, so under the eager schedule this repeats
+///                    every step; the staged schedule sends only the edges
+///                    that changed, paper section 5.2.2)
 ///     [RNN]          GRU evolves each GCN layer's weight matrix
 ///     [top-k]        (-H only) node-embedding top-k selection to match the
 ///                    weight matrix dimensions
@@ -15,7 +17,9 @@
 ///     [Memory Copy]  output embeddings D2H
 ///
 /// The RNN -> GNN chain inside a step and the step -> step chain are the
-/// temporal-dependency bottleneck (GPU utilization < 1 %).
+/// temporal-dependency bottleneck (GPU utilization < 1 %). The staged
+/// schedule (RunConfig::schedule) keeps two steps in flight instead of
+/// synchronizing inside every step (paper section 5.2.1 / Fig 10).
 
 #include <memory>
 #include <vector>
@@ -38,17 +42,6 @@ struct EvolveGcnConfig {
     EvolveGcnVariant variant = EvolveGcnVariant::kO;
     int64_t hidden_dim = 64;
     uint64_t seed = 17;
-
-    /// Paper section 5.2.1 / Fig 10: pipeline RNN and GNN across adjacent
-    /// time steps instead of synchronizing inside every step. Numerics are
-    /// unchanged (the compute stream still orders the work); the host no
-    /// longer stalls per step, overlapping CPU preprocessing with GPU work.
-    bool pipelined = false;
-
-    /// Paper section 5.2.2: exploit sliding-window snapshot overlap and
-    /// transfer only the changed part of each snapshot (plus the static
-    /// node features once) instead of reloading everything per step.
-    bool delta_transfer = false;
 };
 
 /// EvolveGCN model bound to one snapshot-sequence dataset.
@@ -66,9 +59,13 @@ class EvolveGcn : public DgnnModel {
     const Tensor& LayerWeight(int64_t layer) const;
 
   private:
-    /// Evolves layer weights for one step; returns top-k host cost (H only).
+    /// Evolves layer weights for one step (top-k selection first for -H).
     void EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
-                       const Tensor& node_embeddings);
+                       const RunConfig& run, const Tensor& node_embeddings);
+
+    /// Staged H2D bytes of step @p t: the whole snapshot plus the node
+    /// features at step 0, afterwards only the edges that changed.
+    int64_t DeltaBytes(int64_t t) const;
 
     const data::SnapshotDataset& dataset_;
     EvolveGcnConfig config_;

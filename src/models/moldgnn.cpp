@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/staging.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
@@ -75,35 +76,55 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
+    const bool staged = run.schedule == Schedule::kStaged;
+    sim::StagingPipeline staging(runtime, kStagedInFlight);
+    const sim::SlotResources eager_slot(0);
 
     for (int64_t begin = 0; begin < total_frames; begin += bs) {
         const int64_t end = std::min(begin + bs, total_frames);
         const int64_t nf = end - begin;
+        const sim::SlotResources& slot = staged ? staging.Admit() : eager_slot;
 
         // --- Memory Copy: concatenate + H2D all adjacency matrices.
         sim::DeviceBuffer batch_buf =
             runtime.AllocDevice(nf * frame_bytes, "moldgnn_batch");
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            ChargeBatchOverhead(runtime);
-            sim::KernelDesc concat;
-            concat.name = "concat_adjacency";
-            concat.flops = 0;
-            concat.bytes = 2 * nf * frame_bytes;
-            concat.parallel_items = 1;
-            runtime.RunHost(concat);
-            // The reference implementation moves every frame's adjacency
-            // (plus its feature view) as an individual pageable copy; the
-            // per-transfer latency is what makes MolDGNN movement-bound.
-            for (int64_t f = 0; f < nf; ++f) {
-                runtime.CopyToDevice(frame_bytes +
-                                         dataset_.atom_features.NumBytes(),
-                                     "adjacency_h2d");
+            {
+                sim::MaybeAccess access(runtime,
+                                        [&] { return slot.HostBuildAccess(); });
+                ChargeBatchOverhead(runtime);
+                sim::KernelDesc concat;
+                concat.name = "concat_adjacency";
+                concat.flops = 0;
+                concat.bytes = 2 * nf * frame_bytes;
+                concat.parallel_items = 1;
+                runtime.RunHost(concat);
+            }
+            if (staged) {
+                // The concatenated buffer (plus one atom-feature view)
+                // crosses PCIe as one pinned copy.
+                staging.StageInputs(
+                    nf * frame_bytes + dataset_.atom_features.NumBytes(),
+                    "adjacency_h2d");
+            } else {
+                // The reference implementation moves every frame's
+                // adjacency (plus its feature view) as an individual
+                // pageable copy; the per-transfer latency is what makes
+                // MolDGNN movement-bound.
+                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
+                for (int64_t f = 0; f < nf; ++f) {
+                    runtime.CopyToDevice(frame_bytes +
+                                             dataset_.atom_features.NumBytes(),
+                                         "adjacency_h2d");
+                }
             }
         }
 
         const int64_t cap =
             run.numeric_cap > 0 ? std::min<int64_t>(run.numeric_cap, nf) : nf;
+        // The batch's kernels; the result copy below declares its own.
+        sim::MaybeAccess kernels(runtime, [&] { return slot.KernelAccess(); });
 
         // --- GCN: per-frame graph convolution (batched cost, capped math).
         std::vector<Tensor> frame_embeddings;
@@ -123,7 +144,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             gcn.parallel_items = nf * atoms * config_.gcn_dim;
             gcn.irregular = true;
             runtime.Launch(gcn);
-            (void)runtime.Synchronize();
+            PhaseBarrier(runtime, run);
         }
 
         // --- LSTM: one fused (cuDNN-style) kernel per batch; the sequence
@@ -143,7 +164,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                         lstm_->ParameterBytes();
             seq.parallel_items = config_.lstm_dim;
             runtime.Launch(seq);
-            (void)runtime.Synchronize();
+            PhaseBarrier(runtime, run);
         }
 
         // --- FFN: predict the next adjacency matrix.
@@ -158,18 +179,25 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                         ffn_->ParameterBytes();
             ffn.parallel_items = nf * atoms * atoms;
             runtime.Launch(ffn);
-            (void)runtime.Synchronize();
+            PhaseBarrier(runtime, run);
         }
 
         // --- Memory Copy: predicted (symmetric) matrices D2H (Fig 5c).
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            for (int64_t f = 0; f < nf; ++f) {
-                runtime.CopyToHost(frame_bytes, "predictions_d2h");
+            if (staged) {
+                staging.Retire(nf * frame_bytes, "predictions_d2h",
+                               std::move(batch_buf));
+            } else {
+                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
+                for (int64_t f = 0; f < nf; ++f) {
+                    runtime.CopyToHost(frame_bytes, "predictions_d2h");
+                }
             }
         }
         ++iterations;
     }
+    staging.Drain();
 
     RunResult result =
         CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);

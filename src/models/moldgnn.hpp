@@ -13,7 +13,10 @@
 ///     [Memory Copy]  predicted adjacency matrices D2H
 ///
 /// Compute per frame is tiny while the adjacency traffic is large, so the
-/// model is data-movement-bound at every batch size (Fig 7b).
+/// model is data-movement-bound at every batch size (Fig 7b) under the
+/// eager schedule, which copies every frame separately each way. The
+/// staged schedule (RunConfig::schedule) moves each batch as one pinned
+/// copy each way with two batches in flight (DESIGN.md §14).
 
 #include <memory>
 #include <vector>

@@ -316,22 +316,15 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
         }
 
-        if (!config_.overlap_sampling) {
-            // --- Cuda Synchronization: drain the tail of the compute
-            // stream, then fetch results (the eager baseline).
-            {
-                core::ProfileScope scope(profiler, "Cuda Synchronization");
-                (void)runtime.Synchronize();
-            }
+        // --- Cuda Synchronization: drain the tail of the compute stream,
+        // then fetch results.
+        {
+            core::ProfileScope scope(profiler, "Cuda Synchronization");
+            (void)runtime.Synchronize();
+        }
+        {
             core::ProfileScope scope(profiler, "Memory Copy");
             runtime.CopyToHost(n * d * 4, "tgat_embeddings_d2h");
-        } else {
-            // --- Overlapped variant (paper 5.1.1): do not stall; the next
-            // iteration's CPU sampling proceeds while the device drains.
-            // Results are fetched lazily; the deferred D2H pays the wait
-            // only if the device is still behind by then.
-            core::ProfileScope scope(profiler, "Memory Copy");
-            runtime.CopyToHost(n * d * 4, "tgat_embeddings_d2h_async");
         }
         ++iterations;
     }

@@ -31,12 +31,6 @@ struct TgatConfig {
     int64_t num_layers = 1;          ///< attention hops (2 enables recursion)
     int64_t second_hop_neighbors = 10;  ///< neighbors per node at layer >= 2
     uint64_t seed = 7;
-
-    /// Paper section 5.1.1: overlap the CPU-side neighborhood sampling of
-    /// the *next* mini-batch with the GPU compute of the current one. The
-    /// sampling order (and therefore every numeric result) is unchanged;
-    /// only the host stops stalling on the device between batches.
-    bool overlap_sampling = false;
 };
 
 /// TGAT model bound to one interaction dataset.

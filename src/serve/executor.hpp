@@ -16,16 +16,18 @@
 ///                          return via an async D2H behind a compute event.
 ///                          A depth bound (default 2 = double buffering)
 ///                          throttles the host when it runs too far ahead.
+///                          The protocol is sim::StagingPipeline, which the
+///                          DTDG models' staged offline schedule shares.
 ///
 /// Submit returns the batch's absolute completion time, which for the
 /// pipelined executor generally lies beyond the host clock.
 
 #include <cstdint>
-#include <deque>
 
 #include "cache/device_cache.hpp"
 #include "serve/model_session.hpp"
 #include "sim/runtime.hpp"
+#include "sim/staging.hpp"
 
 namespace dgnn::serve {
 
@@ -129,15 +131,12 @@ class PipelinedExecutor : public BatchExecutor {
                         BatchSpans* spans = nullptr) override;
     sim::SimTime Drain() override;
 
-    int64_t InFlight() const { return static_cast<int64_t>(in_flight_.size()); }
+    int64_t InFlight() const { return staging_.InFlight(); }
 
   private:
-    int64_t max_in_flight_;
-    std::deque<sim::Event> in_flight_;
-    /// Batches submitted so far; batch k stages through slot
-    /// k % max_in_flight_ (the double-buffer rotation the hazard
-    /// annotations describe).
-    int64_t submitted_ = 0;
+    /// The depth-bounded in-flight protocol (sim/staging.hpp) shared with
+    /// the DTDG models' staged offline schedule.
+    sim::StagingPipeline staging_;
 };
 
 }  // namespace dgnn::serve

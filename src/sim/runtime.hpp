@@ -409,6 +409,33 @@ class AccessScope {
     Runtime& runtime_;
 };
 
+/// AccessScope declared only when an observer is attached: @p build runs
+/// lazily, so unobserved runs pay neither the declaration nor the
+/// resource-name construction.
+class MaybeAccess {
+  public:
+    template <typename BuildFn>
+    MaybeAccess(Runtime& runtime, BuildFn&& build)
+    {
+        if (runtime.HasObserver()) {
+            runtime.PushAccess(build());
+            runtime_ = &runtime;
+        }
+    }
+    ~MaybeAccess()
+    {
+        if (runtime_ != nullptr) {
+            runtime_->PopAccess();
+        }
+    }
+
+    MaybeAccess(const MaybeAccess&) = delete;
+    MaybeAccess& operator=(const MaybeAccess&) = delete;
+
+  private:
+    Runtime* runtime_ = nullptr;  ///< set only when a footprint was pushed
+};
+
 /// RAII helper pushing a category for the duration of a scope.
 class CategoryScope {
   public:

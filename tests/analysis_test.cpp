@@ -18,14 +18,18 @@
 #include <deque>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "analysis/hazard_checker.hpp"
 #include "analysis/sync_mutations.hpp"
 #include "data/temporal_interactions.hpp"
+#include "models/astgnn.hpp"
 #include "models/dgnn_model.hpp"
+#include "models/evolvegcn.hpp"
 #include "models/jodie.hpp"
+#include "models/moldgnn.hpp"
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
 #include "scenario/scenario.hpp"
@@ -611,6 +615,88 @@ TEST(ServingSweepTest, AttachingTheCheckerDoesNotPerturbTheRun)
                   checked.cache_stats.writeback_rows);
         EXPECT_TRUE(checker.Report().Clean());
     }
+}
+
+// ----------------------------------------------- staged offline schedule
+
+/// Runs @p model on a hybrid runtime under @p schedule, optionally with
+/// @p checker attached.
+models::RunResult
+RunScheduled(models::DgnnModel& model, models::Schedule schedule,
+             int64_t batch_size, HazardChecker* checker)
+{
+    sim::Runtime rt = models::MakeRuntime(sim::ExecMode::kHybrid);
+    rt.SetObserver(checker);
+    models::RunConfig run;
+    run.mode = sim::ExecMode::kHybrid;
+    run.batch_size = batch_size;
+    run.max_events = 8 * batch_size;
+    run.numeric_cap = 2;
+    run.schedule = schedule;
+    return model.RunInference(rt, run);
+}
+
+TEST(StagedScheduleHazardTest, EveryDtdgScheduleIsHazardFree)
+{
+    data::SnapshotSpec snap_spec = data::SnapshotSpec::SbmLike();
+    snap_spec.num_nodes = 120;
+    snap_spec.num_steps = 8;
+    snap_spec.edges_per_step = 600;
+    const auto snapshots = data::GenerateSnapshots(snap_spec);
+    data::MolecularSpec mol_spec;
+    mol_spec.num_frames = 64;
+    const auto molecules = data::GenerateMolecular(mol_spec);
+    data::TrafficSpec traffic_spec;
+    traffic_spec.num_sensors = 24;
+    traffic_spec.num_timesteps = 96;
+    const auto traffic = data::GenerateTraffic(traffic_spec);
+
+    models::EvolveGcn evolve_o(snapshots,
+                               models::EvolveGcnConfig{models::EvolveGcnVariant::kO});
+    models::EvolveGcn evolve_h(snapshots,
+                               models::EvolveGcnConfig{models::EvolveGcnVariant::kH});
+    models::MolDgnn moldgnn(molecules, models::MolDgnnConfig{});
+    models::Astgnn astgnn(traffic, models::AstgnnConfig{});
+    const std::vector<std::tuple<std::string, models::DgnnModel*, int64_t>> cases = {
+        {"EvolveGCN-O", &evolve_o, 1},
+        {"EvolveGCN-H", &evolve_h, 1},
+        {"MolDGNN", &moldgnn, 8},
+        {"ASTGNN", &astgnn, 4},
+    };
+    for (const auto& [name, model, batch] : cases) {
+        for (const models::Schedule schedule :
+             {models::Schedule::kStaged, models::Schedule::kEager}) {
+            HazardChecker checker;
+            (void)RunScheduled(*model, schedule, batch, &checker);
+            const HazardReport report = checker.Report();
+            const bool staged = schedule == models::Schedule::kStaged;
+            EXPECT_TRUE(report.Clean()) << name << (staged ? " staged\n" : " eager\n")
+                                        << report.ToText();
+            // The staging slots were declared: one write per stage.
+            EXPECT_GT(report.writes, 0) << name;
+            if (staged) {
+                EXPECT_GT(report.host_waits, 0) << name;
+                EXPECT_GT(report.stream_waits, 0) << name;
+            }
+        }
+    }
+}
+
+TEST(StagedScheduleHazardTest, AttachingTheCheckerDoesNotPerturbTheRun)
+{
+    data::MolecularSpec spec;
+    spec.num_frames = 64;
+    const auto molecules = data::GenerateMolecular(spec);
+    models::MolDgnn moldgnn(molecules, models::MolDgnnConfig{});
+    HazardChecker checker;
+    const models::RunResult bare =
+        RunScheduled(moldgnn, models::Schedule::kStaged, 8, nullptr);
+    const models::RunResult checked =
+        RunScheduled(moldgnn, models::Schedule::kStaged, 8, &checker);
+    EXPECT_EQ(bare.total_us, checked.total_us);
+    EXPECT_EQ(bare.compute_peak_bytes, checked.compute_peak_bytes);
+    EXPECT_EQ(bare.transfer_count, checked.transfer_count);
+    EXPECT_DOUBLE_EQ(bare.output_checksum, checked.output_checksum);
 }
 
 }  // namespace

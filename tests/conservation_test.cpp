@@ -88,7 +88,7 @@ AllModelCases()
         {"TGN",
          [&f] { return std::make_unique<Tgn>(f.interactions, TgnConfig{16, 16, 2, 11}); }},
         {"TGAT",
-         [&f] { return std::make_unique<Tgat>(f.interactions, TgatConfig{16, 2, 1, 4, 7, false}); }},
+         [&f] { return std::make_unique<Tgat>(f.interactions, TgatConfig{16, 2, 1, 4, 7}); }},
         {"EvolveGCN-O",
          [&f] {
              return std::make_unique<EvolveGcn>(

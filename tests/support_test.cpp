@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
 #include "support/check.hpp"
@@ -67,10 +71,10 @@ TEST(FailureInjectionTest, InvalidModelConfigRejected)
     spec.edge_feature_dim = 4;
     const auto ds = data::GenerateInteractions(spec);
     // Zero attention layers is a configuration error, caught at build time.
-    EXPECT_THROW(models::Tgat(ds, models::TgatConfig{16, 2, 0, 4, 7, false}),
+    EXPECT_THROW(models::Tgat(ds, models::TgatConfig{16, 2, 0, 4, 7}),
                  Error);
     // Attention head count must divide the embedding dimension.
-    EXPECT_THROW(models::Tgat(ds, models::TgatConfig{10, 4, 1, 4, 7, false}),
+    EXPECT_THROW(models::Tgat(ds, models::TgatConfig{10, 4, 1, 4, 7}),
                  Error);
 }
 
@@ -88,6 +92,38 @@ TEST(FailureInjectionTest, BatchSizeZeroRejected)
     run.mode = sim::ExecMode::kCpuOnly;
     run.batch_size = 0;
     EXPECT_THROW(model.RunInference(rt, run), Error);
+}
+
+TEST(RunConfigValidationTest, RejectsNonsenseNamingTheField)
+{
+    struct Case {
+        std::string field;
+        std::function<void(models::RunConfig&)> corrupt;
+    };
+    const std::vector<Case> cases = {
+        {"batch_size", [](models::RunConfig& r) { r.batch_size = 0; }},
+        {"batch_size", [](models::RunConfig& r) { r.batch_size = -1; }},
+        {"num_neighbors", [](models::RunConfig& r) { r.num_neighbors = -1; }},
+        {"max_events", [](models::RunConfig& r) { r.max_events = -1; }},
+        {"numeric_cap", [](models::RunConfig& r) { r.numeric_cap = -1; }},
+        {"cache.capacity_bytes",
+         [](models::RunConfig& r) { r.cache.capacity_bytes = -1; }},
+        {"mode", [](models::RunConfig& r) { r.mode = sim::ExecMode::kHybrid; }},
+    };
+    const sim::Runtime rt = models::MakeRuntime(sim::ExecMode::kCpuOnly);
+    for (const Case& c : cases) {
+        models::RunConfig run;
+        run.mode = sim::ExecMode::kCpuOnly;
+        models::ValidateRunConfig(rt, run);  // the untouched config is valid
+        c.corrupt(run);
+        try {
+            models::ValidateRunConfig(rt, run);
+            ADD_FAILURE() << c.field << ": nonsense value accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << "error does not name " << c.field << ": " << e.what();
+        }
+    }
 }
 
 TEST(FormatDurationTest, UnitSelection)
