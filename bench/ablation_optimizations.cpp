@@ -2,10 +2,13 @@
 // (and leaves as future work): we implement them and measure what they buy
 // on the simulated system.
 //
-//   1. The DTDG models' staged schedule vs the eager schedule the paper
-//      profiled: pipelining with two mini-batches in flight (5.2.1 /
-//      Fig 10) plus one coalesced pinned copy each way per mini-batch,
-//      which for EvolveGCN carries only the changed edges (5.2.2).
+//   1. The staged schedule vs the eager schedule the paper profiled:
+//      pipelining with two mini-batches in flight (5.2.1 / Fig 10) plus
+//      one coalesced pinned copy each way per mini-batch, which for
+//      EvolveGCN carries only the changed edges (5.2.2). TGAT's staged
+//      batches also sample one target per thread while the previous batch
+//      runs on the device (5.1.1); JODIE's drop the host sync between
+//      t-batches.
 //   2. JODIE t-batching (3.3): vs fully sequential per-event processing.
 //
 // Every optimized variant is checked to produce the identical numeric
@@ -19,6 +22,7 @@
 #include "models/evolvegcn.hpp"
 #include "models/jodie.hpp"
 #include "models/moldgnn.hpp"
+#include "models/tgat.hpp"
 
 namespace dgnn::bench {
 namespace {
@@ -65,11 +69,12 @@ main()
     using namespace dgnn::bench;
 
     Banner("Ablations: the paper's section-5 optimizations, implemented",
-           "section 5: pipelining, delta and coalesced transfer, t-batch");
+           "section 5: pipelining, parallel sampling, delta and coalesced "
+           "transfer, t-batch");
     core::TableWriter table(
         {"optimization", "baseline (ms)", "optimized (ms)", "speedup", "numerics"});
 
-    // 1: the DTDG models, eager vs staged.
+    // 1: eager vs staged.
     {
         const auto snapshots = RedditSnapshots();
         const auto molecules = Iso17Dataset(2048);
@@ -99,6 +104,20 @@ main()
                                          traffic, models::AstgnnConfig{});
                                  },
                                  BenchRun(gpu, 16, 0, 256)));
+
+        const auto wikipedia = WikipediaDataset();
+        Print(table, ScheduleRow("TGAT staged (5.1.1)",
+                                 [&] {
+                                     return std::make_unique<models::Tgat>(
+                                         wikipedia, models::TgatConfig{});
+                                 },
+                                 BenchRun(gpu, 200, 20, 2000)));
+        Print(table, ScheduleRow("JODIE staged",
+                                 [&] {
+                                     return std::make_unique<models::Jodie>(
+                                         wikipedia, models::JodieConfig{});
+                                 },
+                                 BenchRun(gpu, 512, 0, 4096)));
     }
 
     // 2: JODIE with vs without t-batching. Full numerics so the checksum

@@ -44,6 +44,9 @@ main()
         models::RunConfig run;
         run.mode = mode;
         run.batch_size = 512;
+        // The profiled eager issue: the host waits out every t-batch, which
+        // is the serialization the utilization line below explains.
+        run.schedule = models::Schedule::kEager;
         const models::RunResult r = model.RunInference(runtime, run);
         std::cout << "\n[" << r.mode << "] total "
                   << sim::FormatDuration(r.total_us);

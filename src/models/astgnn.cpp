@@ -152,7 +152,8 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         const int64_t nb = end - begin;
         const int64_t window_bytes =
             sensors * dataset_.spec.channels * (hist + horizon) * 4;
-        const sim::SlotResources& slot = staged ? staging.Admit() : eager_slot;
+        const sim::SlotResources& slot =
+            staged ? AdmitBatch(staging, profiler, "Memory Copy") : eager_slot;
 
         profiler.Begin("iteration");
 
@@ -243,7 +244,7 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         profiler.End();  // iteration
         ++iterations;
     }
-    staging.Drain();
+    DrainBatches(staging, profiler, "Memory Copy");
 
     RunResult result =
         CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);

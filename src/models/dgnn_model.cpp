@@ -1,5 +1,6 @@
 #include "models/dgnn_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/ops.hpp"
@@ -26,6 +27,22 @@ PhaseBarrier(sim::Runtime& runtime, const RunConfig& run)
     if (run.schedule == Schedule::kEager) {
         (void)runtime.Synchronize();
     }
+}
+
+const sim::SlotResources&
+AdmitBatch(sim::StagingPipeline& staging, core::Profiler& profiler,
+           const std::string& wait_phase)
+{
+    core::ProfileScope scope(profiler, wait_phase);
+    return staging.Admit();
+}
+
+void
+DrainBatches(sim::StagingPipeline& staging, core::Profiler& profiler,
+             const std::string& wait_phase)
+{
+    core::ProfileScope scope(profiler, wait_phase);
+    staging.Drain();
 }
 
 void
@@ -272,19 +289,20 @@ NnExecutor::Elementwise(const std::string& name, int64_t flops, int64_t bytes,
 std::vector<graph::SampledNeighborhood>
 NnExecutor::SampleOnCpu(graph::TemporalNeighborSampler& sampler,
                         const std::vector<int64_t>& nodes,
-                        const std::vector<double>& times, int64_t k)
+                        const std::vector<double>& times, int64_t k,
+                        Schedule schedule)
 {
     std::vector<graph::SampledNeighborhood> result =
         sampler.SampleBatch(nodes, times, k);
     const graph::SamplingCost cost = sampler.TakeCost();
     runtime_.RunHost(SamplingKernel(cost, static_cast<int64_t>(nodes.size()), k,
-                                    sampler.Strategy()));
+                                    sampler.Strategy(), schedule));
     return result;
 }
 
 sim::KernelDesc
 SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
-               graph::SamplingStrategy strategy)
+               graph::SamplingStrategy strategy, Schedule schedule)
 {
     // Per-target framework overhead expressed as equivalent memory traffic.
     // Uniform temporal sampling (TGAT) performs per-target NumPy calls,
@@ -307,8 +325,10 @@ SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
     desc.bytes = cost.gathered_bytes * gather_amplification +
                  cost.bisection_probes * 64 + targets * per_target_bytes +
                  cost.candidates_scanned * per_candidate_bytes + padded_slot_bytes;
-    // The reference samplers are single-threaded Python/NumPy.
-    desc.parallel_items = 1;
+    // The reference samplers are single-threaded Python/NumPy; staged runs
+    // sample each target on its own thread.
+    desc.parallel_items =
+        schedule == Schedule::kStaged ? std::max<int64_t>(1, targets) : 1;
     desc.irregular = true;
     return desc;
 }

@@ -29,23 +29,35 @@
 #include "nn/rnn_cell.hpp"
 #include "nn/time_encoding.hpp"
 #include "sim/runtime.hpp"
+#include "sim/staging.hpp"
 
 namespace dgnn::models {
 
-/// How the DTDG models (EvolveGCN-O/-H, MolDGNN, ASTGNN) issue their
-/// mini-batches on a hybrid runtime (DESIGN.md §14). The CTDG models have
-/// one schedule and ignore the choice; CPU-only runs are identical under
-/// both, because the async primitives staged relies on are no-ops there.
+/// How a model issues its mini-batches (DESIGN.md §14). CPU-only runs
+/// issue the same host timeline under both, because the async primitives
+/// staged relies on are no-ops there; the one exception is the temporal
+/// sampler, whose host region is priced per target under kStaged.
 enum class Schedule {
     /// Each mini-batch's inputs cross PCIe as one pinned async copy fenced
-    /// into the compute stream (EvolveGCN: only the changed edges after
-    /// step 0), results return as one async copy behind a compute event,
-    /// the host never synchronizes per phase, and kStagedInFlight
-    /// mini-batches stay in flight (sim::StagingPipeline).
+    /// into the compute stream, results return as one async copy behind a
+    /// compute event, the host never synchronizes per phase, and
+    /// kStagedInFlight mini-batches stay in flight (sim::StagingPipeline).
+    ///  - DTDG (EvolveGCN-O/-H, MolDGNN, ASTGNN): the whole mini-batch;
+    ///    EvolveGCN sends only the changed edges after step 0.
+    ///  - TGAT: sampled indices and time deltas in, embeddings out; batch
+    ///    i+1 samples on the host while batch i runs on the device.
+    ///  - JODIE: the chunk's embedding rows in and out, no host sync between
+    ///    t-batches. With a device cache JODIE keeps eager issue, because
+    ///    its gathers write evictions back synchronously.
+    ///  - TGN: only the sampler changes (per-target parallel host region);
+    ///    its host message build reads the memory rows the previous batch
+    ///    returned, so its batches stay eager.
+    ///  - DyRep, LDG: eager issue.
     kStaged,
     /// The paper's profiled eager-PyTorch path: blocking pageable copies
-    /// as the reference code issues them and a device synchronization
-    /// after every phase. Paper figures pin this schedule.
+    /// as the reference code issues them, a device synchronization after
+    /// every phase, and single-threaded temporal sampling. Paper figures pin
+    /// this schedule.
     kEager,
 };
 
@@ -77,7 +89,7 @@ struct RunConfig {
     /// default — reproduces the historical unfused launch sequence
     /// bit-for-bit.
     bool fuse_kernels = false;
-    /// DTDG mini-batch schedule (see Schedule). Cost-shape only: the host
+    /// Mini-batch schedule (see Schedule). Cost-shape only: the host
     /// numerics, and so the checksums, are identical under both.
     Schedule schedule = Schedule::kStaged;
 };
@@ -168,6 +180,17 @@ void ChargeBatchOverhead(sim::Runtime& runtime);
 /// host.
 void PhaseBarrier(sim::Runtime& runtime, const RunConfig& run);
 
+/// Admits the staged schedule's next batch (StagingPipeline::Admit),
+/// charging its throttle wait to the model's @p wait_phase.
+const sim::SlotResources& AdmitBatch(sim::StagingPipeline& staging,
+                                     core::Profiler& profiler,
+                                     const std::string& wait_phase);
+
+/// Waits every staged batch still in flight, charging the wait to
+/// @p wait_phase. No-op when nothing is in flight (the eager schedule).
+void DrainBatches(sim::StagingPipeline& staging, core::Profiler& profiler,
+                  const std::string& wait_phase);
+
 /// Validates a run configuration (positive batch size, sane neighbor and
 /// cap values, mode matching the runtime). Every model calls this first;
 /// each rejection is a dgnn::Error naming the offending field.
@@ -243,11 +266,12 @@ class NnExecutor {
                      int64_t items);
 
     /// CPU-side temporal sampling: performs the real sampling and charges
-    /// the host with the calibrated irregular-access cost model.
+    /// the host with the calibrated irregular-access cost model, priced for
+    /// @p schedule (see SamplingKernel).
     std::vector<graph::SampledNeighborhood>
     SampleOnCpu(graph::TemporalNeighborSampler& sampler,
                 const std::vector<int64_t>& nodes, const std::vector<double>& times,
-                int64_t k);
+                int64_t k, Schedule schedule);
 
   private:
     sim::Runtime& runtime_;
@@ -259,8 +283,12 @@ class NnExecutor {
 /// as equivalent memory traffic (see DESIGN.md section 5).
 /// Uniform sampling (TGAT) pays the index sort and a much larger per-call
 /// overhead than the vectorizable most-recent lookup (TGN/DyRep).
+/// Under kEager the region is single-threaded, as in the reference
+/// samplers; under kStaged each target's bisection and draws run on their
+/// own thread (parallel_items = targets). Work (flops, bytes) is the same.
 sim::KernelDesc SamplingKernel(const graph::SamplingCost& cost, int64_t targets,
-                               int64_t k, graph::SamplingStrategy strategy);
+                               int64_t k, graph::SamplingStrategy strategy,
+                               Schedule schedule);
 
 /// Deterministic fingerprint helper: accumulates sum + abs-sum of a tensor.
 class Checksum {

@@ -211,7 +211,8 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
     for (int64_t t = 0; t < steps; ++t) {
         const graph::GraphSnapshot& snap = dataset_.sequence.Step(t);
-        const sim::SlotResources& slot = staged ? staging.Admit() : eager_slot;
+        const sim::SlotResources& slot =
+            staged ? AdmitBatch(staging, profiler, "Memory Copy") : eager_slot;
 
         // --- Memory Copy: the eager schedule reloads the full snapshot
         // every step; the staged one sends only the changed edges.
@@ -263,7 +264,7 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
         }
     }
-    staging.Drain();
+    DrainBatches(staging, profiler, "Memory Copy");
 
     RunResult result = CollectRunStats(runtime, Name(), dataset_.spec.name, steps);
     result.warmup_one_time_us = warm_one;

@@ -8,6 +8,14 @@
 
 namespace dgnn::models {
 
+namespace {
+
+/// Hazard resource of the host embedding store the uncached chunks read
+/// from and return to: chunk i's D2H must land before chunk i+1's H2D.
+constexpr char kHostEmbeddings[] = "jodie_host_embeddings";
+
+}  // namespace
+
 Jodie::Jodie(const data::InteractionDataset& dataset, JodieConfig config)
     : dataset_(dataset), config_(config)
 {
@@ -68,10 +76,18 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
+    // Cached runs keep eager issue: their gathers write evictions back
+    // synchronously, so there is no single copy each way to stage.
+    const bool staged =
+        run.schedule == Schedule::kStaged && !embedding_cache.Enabled();
+    sim::StagingPipeline staging(runtime, kStagedInFlight);
+    const sim::SlotResources eager_slot(0);
 
     for (int64_t begin = 0; begin < total_events; begin += bs) {
         const int64_t end = std::min(begin + bs, total_events);
         const int64_t chunk_events = end - begin;
+        const sim::SlotResources& slot =
+            staged ? AdmitBatch(staging, profiler, "Update Embedding") : eager_slot;
 
         // Unique endpoints of the chunk, in event order (cache keys).
         std::vector<int64_t> chunk_nodes;
@@ -85,29 +101,40 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
 
         // --- Load Embedding: t-batch creation (CPU) + embeddings H2D.
+        const int64_t chunk_bytes = 2 * chunk_events * d * 4;
         std::vector<graph::TBatch> tbatches;
+        // The chunk's device staging area: freed at the end of the chunk
+        // when eager, held until the chunk's done-event when staged.
+        sim::DeviceBuffer batch_buf;
         {
             core::ProfileScope scope(profiler, "Load Embedding");
-            ChargeBatchOverhead(runtime);
-            if (config_.use_tbatch) {
-                tbatches = graph::BuildTBatches(dataset_.stream, begin, end);
-            } else {
-                // Ablation: one event per "batch" — fully sequential RNNs.
-                tbatches.resize(static_cast<size_t>(end - begin));
-                for (int64_t i = begin; i < end; ++i) {
-                    tbatches[static_cast<size_t>(i - begin)].event_indices = {i};
+            {
+                sim::MaybeAccess access(runtime,
+                                        [&] { return slot.HostBuildAccess(); });
+                ChargeBatchOverhead(runtime);
+                if (config_.use_tbatch) {
+                    tbatches = graph::BuildTBatches(dataset_.stream, begin, end);
+                } else {
+                    // Ablation: one event per "batch" — fully sequential RNNs.
+                    tbatches.resize(static_cast<size_t>(end - begin));
+                    for (int64_t i = begin; i < end; ++i) {
+                        tbatches[static_cast<size_t>(i - begin)].event_indices = {i};
+                    }
                 }
+                sim::KernelDesc build;
+                build.name = "tbatch_build";
+                build.flops = chunk_events * 8;
+                build.bytes = chunk_events * 128;  // hash-map traffic per event
+                build.parallel_items = 1;
+                build.irregular = true;
+                runtime.RunHost(build);
             }
-            sim::KernelDesc build;
-            build.name = "tbatch_build";
-            build.flops = chunk_events * 8;
-            build.bytes = chunk_events * 128;  // hash-map traffic per event
-            build.parallel_items = 1;
-            build.irregular = true;
-            runtime.RunHost(build);
             // Embedding rows for every event endpoint. Cached: unique rows
             // come through the device cache (hits stay resident across
             // chunks — LastFM-style streams revisit the same users/items).
+            // Uncached: every row is read from the host embedding store the
+            // previous chunk returned to (staged: as one pinned copy fenced
+            // into the compute stream).
             if (embedding_cache.Enabled()) {
                 // Every gathered row is rewritten by the RNN updates:
                 // dirty at gather time, so same-chunk evictions still owe
@@ -119,13 +146,24 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 runtime.WriteBackToHost(g.writeback_rows, CacheRowBytes(),
                                        "jodie_embeddings");
             } else {
-                runtime.CopyToDevice(2 * chunk_events * d * 4,
-                                     "jodie_embeddings_h2d");
+                auto input_access = [&] {
+                    sim::AccessSet access = slot.InputAccess();
+                    access.reads.push_back(kHostEmbeddings);
+                    return access;
+                };
+                if (staged) {
+                    staging.StageInputs(chunk_bytes, "jodie_embeddings_h2d",
+                                        input_access);
+                } else {
+                    sim::MaybeAccess access(runtime, input_access);
+                    runtime.CopyToDevice(chunk_bytes, "jodie_embeddings_h2d");
+                }
             }
-            sim::DeviceBuffer batch_buf =
-                runtime.AllocDevice(2 * chunk_events * d * 4, "jodie_chunk");
-            // Buffer freed at scope end: JODIE reuses one staging area.
+            batch_buf = runtime.AllocDevice(chunk_bytes, "jodie_chunk");
         }
+
+        // The t-batch kernels; the result copy below declares its own.
+        sim::MaybeAccess kernels(runtime, [&] { return slot.KernelAccess(); });
 
         // --- Per t-batch sequential processing (mutually recursive RNNs).
         for (const graph::TBatch& tb : tbatches) {
@@ -222,8 +260,12 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                     runtime.Launch(rnns[0]);
                     runtime.Launch(rnns[1]);
                 }
-                // The next t-batch depends on these updates: hard sync.
-                (void)runtime.Synchronize();
+                // The next t-batch depends on these updates. The compute
+                // stream already orders them; the eager schedule also
+                // stalls the host here.
+                if (!staged) {
+                    (void)runtime.Synchronize();
+                }
             }
 
             for (int64_t i = 0; i < cap; ++i) {
@@ -238,13 +280,25 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // and write back only on eviction or the end-of-run flush.
         if (!embedding_cache.Enabled()) {
             core::ProfileScope scope(profiler, "Update Embedding");
-            runtime.CopyToHost(2 * chunk_events * d * 4,
-                               "jodie_embeddings_d2h");
+            auto result_access = [&] {
+                sim::AccessSet access = slot.ResultAccess();
+                access.writes.push_back(kHostEmbeddings);
+                return access;
+            };
+            if (staged) {
+                staging.Retire(chunk_bytes, "jodie_embeddings_d2h",
+                               std::move(batch_buf), result_access);
+            } else {
+                sim::MaybeAccess access(runtime, result_access);
+                runtime.CopyToHost(chunk_bytes, "jodie_embeddings_d2h");
+            }
         }
         ++iterations;
     }
+    DrainBatches(staging, profiler, "Update Embedding");
 
     if (embedding_cache.Enabled()) {
+        core::ProfileScope scope(profiler, "Update Embedding");
         runtime.WriteBackToHost(embedding_cache.FlushDirty(), CacheRowBytes(),
                                 "jodie_embeddings_flush");
     }

@@ -83,7 +83,8 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
     for (int64_t begin = 0; begin < total_frames; begin += bs) {
         const int64_t end = std::min(begin + bs, total_frames);
         const int64_t nf = end - begin;
-        const sim::SlotResources& slot = staged ? staging.Admit() : eager_slot;
+        const sim::SlotResources& slot =
+            staged ? AdmitBatch(staging, profiler, "Memory Copy") : eager_slot;
 
         // --- Memory Copy: concatenate + H2D all adjacency matrices.
         sim::DeviceBuffer batch_buf =
@@ -197,7 +198,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
         ++iterations;
     }
-    staging.Drain();
+    DrainBatches(staging, profiler, "Memory Copy");
 
     RunResult result =
         CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);

@@ -1,11 +1,25 @@
 #include "models/tgat.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "models/fusion_catalog.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
+
+namespace {
+
+/// Hazard resource of a batch's cache-gathered feature rows: device rows of
+/// their own beside the slot's staged indices, so the blocking gather and
+/// the async index copy never write the same buffer.
+std::string
+FeatureRows(const sim::SlotResources& slot)
+{
+    return "features@" + slot.dev_in;
+}
+
+}  // namespace
 
 Tgat::Tgat(const data::InteractionDataset& dataset, TgatConfig config)
     : dataset_(dataset), config_(config), adjacency_(dataset.stream)
@@ -137,10 +151,16 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t d = config_.embed_dim;
     Checksum checksum;
     int64_t iterations = 0;
+    const bool staged = run.schedule == Schedule::kStaged;
+    sim::StagingPipeline staging(runtime, kStagedInFlight);
+    const sim::SlotResources eager_slot(0);
 
     for (int64_t begin = 0; begin < total_events; begin += bs) {
         const int64_t end = std::min(begin + bs, total_events);
         const auto batch = dataset_.stream.Slice(begin, end);
+        const sim::SlotResources& slot =
+            staged ? AdmitBatch(staging, profiler, "Cuda Synchronization")
+                   : eager_slot;
 
         // Targets: both endpoints of every event, processed at event time.
         std::vector<int64_t> nodes;
@@ -165,8 +185,9 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
         {
             core::ProfileScope scope(profiler, "Sampling (CPU)");
+            sim::MaybeAccess access(runtime, [&] { return slot.HostBuildAccess(); });
             ChargeBatchOverhead(runtime);
-            hoods = exec.SampleOnCpu(sampler, nodes, times, k);
+            hoods = exec.SampleOnCpu(sampler, nodes, times, k, run.schedule);
             if (feature_cache.Enabled()) {
                 for (const auto& h : hoods) {
                     for (const int64_t nbr : h.neighbors) {
@@ -190,7 +211,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 if (!inner_nodes.empty()) {
                     const auto inner_hoods = exec.SampleOnCpu(
                         sampler, inner_nodes, inner_times,
-                        config_.second_hop_neighbors);
+                        config_.second_hop_neighbors, run.schedule);
                     if (feature_cache.Enabled()) {
                         for (const auto& h : inner_hoods) {
                             for (const int64_t nbr : h.neighbors) {
@@ -205,7 +226,8 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
 
         // --- Memory Copy: sampled neighbor indices and time deltas (the
-        // feature tables already live on the device).
+        // feature tables already live on the device). Staged, they cross
+        // as one pinned copy fenced into the compute stream.
         const int64_t gathered_nodes = n * (1 + k);
         const int64_t index_bytes = gathered_nodes * 8;
         const int64_t delta_bytes = n * k * 8;
@@ -213,16 +235,34 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             gathered_nodes * d * 4 * 2, "tgat_batch");
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            runtime.CopyToDevice(index_bytes + delta_bytes, "tgat_batch_h2d");
+            if (staged) {
+                staging.StageInputs(index_bytes + delta_bytes, "tgat_batch_h2d");
+            } else {
+                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
+                runtime.CopyToDevice(index_bytes + delta_bytes, "tgat_batch_h2d");
+            }
             if (feature_cache.Enabled()) {
                 // Feature rows of every touched node (targets + every
                 // sampled hop, deduplicated) come through the cache.
+                sim::MaybeAccess access(runtime, [&] {
+                    return sim::AccessSet{{"tgat_feature_cache"}, {FeatureRows(slot)}};
+                });
                 cache::SortUnique(touched);
                 const cache::GatherResult g = feature_cache.Gather(touched);
                 runtime.GatherToDevice(g.hit_rows, g.miss_rows, CacheRowBytes(),
                                        "tgat_features");
             }
         }
+
+        // The batch's kernels read its indices (and gathered feature rows);
+        // the result copy below declares its own footprint.
+        sim::MaybeAccess kernels(runtime, [&] {
+            sim::AccessSet access = slot.KernelAccess();
+            if (feature_cache.Enabled()) {
+                access.reads.push_back(FeatureRows(slot));
+            }
+            return access;
+        });
 
         // --- Time Encoding: one kernel over all deltas. Under fusion the
         // launch is deferred into the projection launch (tgat_encode_fused),
@@ -237,7 +277,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             if (!run.fuse_kernels) {
                 runtime.Launch(tenc);
             }
-            (void)runtime.Synchronize();
+            PhaseBarrier(runtime, run);
         }
 
         // --- Attention Layer: projection + attention + merge, batched.
@@ -291,14 +331,14 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                     runtime.Launch(sim::Collapse(MakeRegisteredChain(
                         "tgat_attention_fused", {attn, merge},
                         {q_rows * d * 4})));
-                    (void)runtime.Synchronize();
+                    PhaseBarrier(runtime, run);
                 } else {
                     runtime.Launch(attn);
 
                     // Attention execution is attributed to this module scope
                     // (PyTorch-profiler convention); the merge FFN drains
                     // later in the explicit synchronization phase.
-                    (void)runtime.Synchronize();
+                    PhaseBarrier(runtime, run);
                     runtime.Launch(merge);
                 }
             }
@@ -317,17 +357,26 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
 
         // --- Cuda Synchronization: drain the tail of the compute stream,
-        // then fetch results.
+        // then fetch results. Staged, the host waits only for an older
+        // batch's done-event (AdmitBatch, DrainBatches): the results
+        // return behind this batch's compute event.
         {
             core::ProfileScope scope(profiler, "Cuda Synchronization");
-            (void)runtime.Synchronize();
+            PhaseBarrier(runtime, run);
         }
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            runtime.CopyToHost(n * d * 4, "tgat_embeddings_d2h");
+            if (staged) {
+                staging.Retire(n * d * 4, "tgat_embeddings_d2h",
+                               std::move(activations));
+            } else {
+                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
+                runtime.CopyToHost(n * d * 4, "tgat_embeddings_d2h");
+            }
         }
         ++iterations;
     }
+    DrainBatches(staging, profiler, "Cuda Synchronization");
 
     RunResult result =
         CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);

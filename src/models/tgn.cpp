@@ -255,7 +255,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 nodes.push_back(batch[i].dst);
                 times.push_back(batch[i].time);
             }
-            exec.SampleOnCpu(sampler, nodes, times, k);
+            exec.SampleOnCpu(sampler, nodes, times, k, run.schedule);
 
             // Neighbor indices H2D; the node memory itself is resident on
             // the device (memory_buf), so only the batch's lookup structure
@@ -321,6 +321,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
     // End-of-run: the host-side memory store must see every device-resident
     // update once (one bulk write-back, not one per batch).
     if (memory_cache.Enabled()) {
+        core::ProfileScope scope(profiler, "Update Memory");
         runtime.WriteBackToHost(memory_cache.FlushDirty(), CacheRowBytes(),
                                 "tgn_memory_flush");
     }

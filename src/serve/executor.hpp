@@ -17,7 +17,7 @@
 ///                          A depth bound (default 2 = double buffering)
 ///                          throttles the host when it runs too far ahead.
 ///                          The protocol is sim::StagingPipeline, which the
-///                          DTDG models' staged offline schedule shares.
+///                          models' staged offline schedule shares.
 ///
 /// Submit returns the batch's absolute completion time, which for the
 /// pipelined executor generally lies beyond the host clock.
@@ -135,7 +135,7 @@ class PipelinedExecutor : public BatchExecutor {
 
   private:
     /// The depth-bounded in-flight protocol (sim/staging.hpp) shared with
-    /// the DTDG models' staged offline schedule.
+    /// the models' staged offline schedule.
     sim::StagingPipeline staging_;
 };
 

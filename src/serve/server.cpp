@@ -52,10 +52,18 @@ Serve(ModelSession& session, BatchPolicy& policy, const ArrivalSource& source,
     return ServeRequests(session, policy, source.Generate(n), options);
 }
 
+void
+ValidateServerOptions(const ServerOptions& options)
+{
+    DGNN_CHECK(options.pipeline_depth >= 1, "pipeline_depth must be >= 1, got ",
+               options.pipeline_depth);
+}
+
 ServingReport
 ServeRequests(ModelSession& session, BatchPolicy& policy,
               const std::vector<Request>& requests, const ServerOptions& options)
 {
+    ValidateServerOptions(options);
     DGNN_CHECK(std::is_sorted(requests.begin(), requests.end(),
                               [](const Request& a, const Request& b) {
                                   return a.arrival_us < b.arrival_us;

@@ -66,6 +66,10 @@ struct ServerOptions {
     BatchShardHook* shard_hook = nullptr;
 };
 
+/// Rejects server options no run can honour (pipeline_depth < 1) with a
+/// dgnn::Error naming the field. Every serving entry point calls this.
+void ValidateServerOptions(const ServerOptions& options);
+
 /// Everything one serving run produces.
 struct ServingReport {
     std::string model;

@@ -50,6 +50,20 @@ BuildBook(int64_t num_nodes, const std::vector<serve::Request>& requests,
 
 }  // namespace
 
+void
+ValidateShardedOptions(const ShardedOptions& options)
+{
+    DGNN_CHECK(options.num_shards >= 1, "num_shards must be >= 1, got ",
+               options.num_shards);
+    sim::ValidateLinkSpec(options.interconnect, "interconnect");
+    DGNN_CHECK(options.num_neighbors >= 0, "num_neighbors must be >= 0, got ",
+               options.num_neighbors);
+    DGNN_CHECK(options.cache_config.capacity_bytes >= 0,
+               "cache_config.capacity_bytes must be >= 0, got ",
+               options.cache_config.capacity_bytes);
+    serve::ValidateServerOptions(options.server);
+}
+
 ShardedReport
 ServeSharded(
     models::DgnnModel& model, sim::ExecMode mode, int64_t num_nodes,
@@ -57,8 +71,7 @@ ServeSharded(
     const std::function<std::unique_ptr<serve::BatchPolicy>()>& make_policy,
     const ShardedOptions& options)
 {
-    DGNN_CHECK(options.num_shards >= 1, "need >= 1 shard, got ",
-               options.num_shards);
+    ValidateShardedOptions(options);
     const PartitionBook book = BuildBook(num_nodes, requests, options);
 
     std::vector<std::vector<serve::Request>> sub_streams(

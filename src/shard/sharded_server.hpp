@@ -88,6 +88,11 @@ struct ShardedReport {
     std::vector<serve::ServingReport> shards;
 };
 
+/// Rejects sharded options no run can honour with a dgnn::Error naming the
+/// field: num_shards < 1, an unpriceable interconnect, num_neighbors < 0, a
+/// negative cache capacity, or invalid per-shard server options.
+void ValidateShardedOptions(const ShardedOptions& options);
+
 /// Routes @p requests (relative arrival timestamps, sorted) across
 /// @p options.num_shards shards of @p model's node state and serves every
 /// sub-stream. @p num_nodes sizes the partition book (the model/dataset

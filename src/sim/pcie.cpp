@@ -1,8 +1,16 @@
 #include "sim/pcie.hpp"
 
+#include "sim/topology.hpp"
 #include "support/check.hpp"
 
 namespace dgnn::sim {
+
+PcieLink::PcieLink(double bandwidth_gbps, SimTime latency_us)
+    : bandwidth_gbps_(bandwidth_gbps), latency_us_(latency_us), queue_("pcie")
+{
+    // Every transfer divides by the bandwidth.
+    ValidateLinkSpec(LinkSpec{LinkKind::kPcie, bandwidth_gbps_, latency_us_}, "link");
+}
 
 SimTime
 PcieLink::TransferTime(int64_t bytes) const

@@ -15,10 +15,10 @@ namespace dgnn::sim {
 /// Host <-> device interconnect.
 class PcieLink {
   public:
-    /// @param bandwidth_gbps effective bandwidth, GB/s
-    /// @param latency_us per-transfer setup latency, us
-    PcieLink(double bandwidth_gbps, SimTime latency_us)
-        : bandwidth_gbps_(bandwidth_gbps), latency_us_(latency_us), queue_("pcie") {}
+    /// @param bandwidth_gbps effective bandwidth, GB/s (positive, finite)
+    /// @param latency_us per-transfer setup latency, us (non-negative,
+    ///                   finite)
+    PcieLink(double bandwidth_gbps, SimTime latency_us);
 
     /// PCIe 4.0 x16 with realistic pinned-memory efficiency.
     static PcieLink Gen4x16() { return PcieLink(12.0, 10.0); }

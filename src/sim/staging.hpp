@@ -2,7 +2,7 @@
 
 /// @file
 /// Depth-bounded in-flight staging: the pipelining protocol of the paper's
-/// Fig 10, shared by serve::PipelinedExecutor and the DTDG models' staged
+/// Fig 10, shared by serve::PipelinedExecutor and the models' staged
 /// offline schedule (models::Schedule::kStaged). One batch runs
 ///
 ///   Admit()        throttle: with `depth` batches outstanding the host

@@ -1,5 +1,7 @@
 #include "sim/topology.hpp"
 
+#include <cmath>
+
 #include "support/check.hpp"
 
 namespace dgnn::sim {
@@ -14,6 +16,17 @@ ToString(LinkKind kind)
         return "nvlink";
     }
     return "?";
+}
+
+void
+ValidateLinkSpec(const LinkSpec& link, const std::string& field)
+{
+    DGNN_CHECK(std::isfinite(link.bandwidth_gbps) && link.bandwidth_gbps > 0.0,
+               field, ".bandwidth_gbps must be positive and finite, got ",
+               link.bandwidth_gbps);
+    DGNN_CHECK(std::isfinite(link.latency_us) && link.latency_us >= 0.0, field,
+               ".latency_us must be non-negative and finite, got ",
+               link.latency_us);
 }
 
 Topology
@@ -46,6 +59,7 @@ Topology::ScaleOut(int32_t devices, const LinkSpec& interconnect)
 void
 Topology::AddNode(const TopologyNode& node)
 {
+    ValidateLinkSpec(node.host_link, "host_link");
     const int32_t old_count = DeviceCount();
     const int32_t new_count = old_count + 1;
     // Rebuild the row-major matrix at the new width, preserving the old
@@ -94,6 +108,7 @@ Topology::SetPeerLink(int32_t from, int32_t to, const LinkSpec& spec)
 {
     DGNN_CHECK(from != to, "peer link must join two distinct devices, got ",
                from, " -> ", to);
+    ValidateLinkSpec(spec, "peer_link");
     peer_links_[static_cast<size_t>(LinkIndex(from, to))] = spec;
 }
 

@@ -15,6 +15,7 @@
 /// a config that never mentions a topology.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/device_spec.hpp"
@@ -50,6 +51,11 @@ struct LinkSpec {
     }
 };
 
+/// Rejects a link no transfer can be priced over (bandwidth not positive
+/// and finite, latency negative or not finite) with a dgnn::Error naming
+/// @p field (e.g. "interconnect.bandwidth_gbps").
+void ValidateLinkSpec(const LinkSpec& link, const std::string& field);
+
 /// One cluster node: a CPU + GPU pair and the host link between them.
 struct TopologyNode {
     DeviceSpec cpu = DeviceSpec::XeonGold6226R();
@@ -72,6 +78,7 @@ class Topology {
     static Topology ScaleOut(int32_t devices, const LinkSpec& interconnect);
 
     /// Appends a node; its peer links (both directions) default to PCIe.
+    /// Rejects an unpriceable host link (ValidateLinkSpec, "host_link").
     void AddNode(const TopologyNode& node);
 
     int32_t DeviceCount() const
@@ -85,7 +92,8 @@ class Topology {
     /// @p to. Must be distinct, in-range indices.
     const LinkSpec& PeerLink(int32_t from, int32_t to) const;
 
-    /// Overrides one directed peer link.
+    /// Overrides one directed peer link; rejects an unpriceable one
+    /// (ValidateLinkSpec, "peer_link").
     void SetPeerLink(int32_t from, int32_t to, const LinkSpec& spec);
 
   private:

@@ -18,7 +18,6 @@
 #include <deque>
 #include <random>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -620,10 +619,10 @@ TEST(ServingSweepTest, AttachingTheCheckerDoesNotPerturbTheRun)
 // ----------------------------------------------- staged offline schedule
 
 /// Runs @p model on a hybrid runtime under @p schedule, optionally with
-/// @p checker attached.
+/// @p checker attached and a device cache of @p cache_bytes.
 models::RunResult
 RunScheduled(models::DgnnModel& model, models::Schedule schedule,
-             int64_t batch_size, HazardChecker* checker)
+             int64_t batch_size, HazardChecker* checker, int64_t cache_bytes = 0)
 {
     sim::Runtime rt = models::MakeRuntime(sim::ExecMode::kHybrid);
     rt.SetObserver(checker);
@@ -633,7 +632,41 @@ RunScheduled(models::DgnnModel& model, models::Schedule schedule,
     run.max_events = 8 * batch_size;
     run.numeric_cap = 2;
     run.schedule = schedule;
+    run.cache.capacity_bytes = cache_bytes;
     return model.RunInference(rt, run);
+}
+
+/// One model run of the staged-schedule hazard sweep.
+struct ScheduleCase {
+    std::string name;
+    models::DgnnModel* model;
+    int64_t batch_size;
+    int64_t cache_bytes = 0;
+};
+
+/// Runs every case under both schedules with a checker attached: zero
+/// hazards, declared staging slots, and (staged) the waits that order them.
+void
+ExpectSchedulesHazardFree(const std::vector<ScheduleCase>& cases)
+{
+    for (const ScheduleCase& c : cases) {
+        for (const models::Schedule schedule :
+             {models::Schedule::kStaged, models::Schedule::kEager}) {
+            HazardChecker checker;
+            (void)RunScheduled(*c.model, schedule, c.batch_size, &checker,
+                               c.cache_bytes);
+            const HazardReport report = checker.Report();
+            const bool staged = schedule == models::Schedule::kStaged;
+            EXPECT_TRUE(report.Clean()) << c.name << (staged ? " staged\n" : " eager\n")
+                                        << report.ToText();
+            // The staging slots were declared: one write per stage.
+            EXPECT_GT(report.writes, 0) << c.name;
+            if (staged) {
+                EXPECT_GT(report.host_waits, 0) << c.name;
+                EXPECT_GT(report.stream_waits, 0) << c.name;
+            }
+        }
+    }
 }
 
 TEST(StagedScheduleHazardTest, EveryDtdgScheduleIsHazardFree)
@@ -657,29 +690,28 @@ TEST(StagedScheduleHazardTest, EveryDtdgScheduleIsHazardFree)
                                models::EvolveGcnConfig{models::EvolveGcnVariant::kH});
     models::MolDgnn moldgnn(molecules, models::MolDgnnConfig{});
     models::Astgnn astgnn(traffic, models::AstgnnConfig{});
-    const std::vector<std::tuple<std::string, models::DgnnModel*, int64_t>> cases = {
+    ExpectSchedulesHazardFree({
         {"EvolveGCN-O", &evolve_o, 1},
         {"EvolveGCN-H", &evolve_h, 1},
         {"MolDGNN", &moldgnn, 8},
         {"ASTGNN", &astgnn, 4},
-    };
-    for (const auto& [name, model, batch] : cases) {
-        for (const models::Schedule schedule :
-             {models::Schedule::kStaged, models::Schedule::kEager}) {
-            HazardChecker checker;
-            (void)RunScheduled(*model, schedule, batch, &checker);
-            const HazardReport report = checker.Report();
-            const bool staged = schedule == models::Schedule::kStaged;
-            EXPECT_TRUE(report.Clean()) << name << (staged ? " staged\n" : " eager\n")
-                                        << report.ToText();
-            // The staging slots were declared: one write per stage.
-            EXPECT_GT(report.writes, 0) << name;
-            if (staged) {
-                EXPECT_GT(report.host_waits, 0) << name;
-                EXPECT_GT(report.stream_waits, 0) << name;
-            }
-        }
-    }
+    });
+}
+
+TEST(StagedScheduleHazardTest, EveryStagedCtdgScheduleIsHazardFree)
+{
+    const auto dataset = SweepDataset();
+    models::Tgat tgat(dataset, models::TgatConfig{});
+    models::Tgat tgat_two_hop(dataset, models::TgatConfig{64, 2, 2, 10, 7});
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    // A quarter of the feature rows: the cached gather hits and evicts.
+    const int64_t tgat_cache = dataset.NumNodes() / 4 * tgat.CacheRowBytes();
+    ExpectSchedulesHazardFree({
+        {"TGAT", &tgat, 64},
+        {"TGAT two-hop", &tgat_two_hop, 64},
+        {"TGAT cached", &tgat, 64, tgat_cache},
+        {"JODIE", &jodie, 64},
+    });
 }
 
 TEST(StagedScheduleHazardTest, AttachingTheCheckerDoesNotPerturbTheRun)

@@ -26,8 +26,8 @@ MakeRun(sim::ExecMode mode, int64_t batch, int64_t neighbors = 8)
     run.num_neighbors = neighbors;
     run.numeric_cap = 4;  // integration tests exercise timing, not math
     // These tests assert the paper's measured bottleneck shapes (memory
-    // copy dominating MolDGNN, EvolveGCN's idle GPU, ...), which the DTDG
-    // models reproduce under the profiled eager schedule.
+    // copy dominating MolDGNN, EvolveGCN's idle GPU, TGAT's sampling, ...),
+    // which the models reproduce under the profiled eager schedule.
     run.schedule = Schedule::kEager;
     return run;
 }

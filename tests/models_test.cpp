@@ -107,7 +107,10 @@ TEST(TgatTest, RunsOnBothModesWithExpectedCategories)
     for (const auto mode : {sim::ExecMode::kHybrid, sim::ExecMode::kCpuOnly}) {
         Tgat model(ds, TgatConfig{16, 2, 1, 4, 7});
         sim::Runtime rt = MakeRuntime(mode);
-        const RunResult r = model.RunInference(rt, SmallRun(mode));
+        RunConfig run = SmallRun(mode);
+        // Fig 7(e-h)'s categories, as the profiled eager schedule books them.
+        run.schedule = Schedule::kEager;
+        const RunResult r = model.RunInference(rt, run);
         EXPECT_GT(r.total_us, 0.0);
         EXPECT_EQ(r.iterations, (120 + 15) / 16);
         EXPECT_GT(r.breakdown.SharePct("Sampling (CPU)"), 0.0);
@@ -205,7 +208,10 @@ TEST(JodieTest, RunsWithPaperCategories)
     const auto ds = TinyInteractions();
     Jodie model(ds, JodieConfig{16, 13});
     sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
-    const RunResult r = model.RunInference(rt, SmallRun(sim::ExecMode::kHybrid));
+    RunConfig run = SmallRun(sim::ExecMode::kHybrid);
+    // Fig 7(d)'s categories, as the profiled eager schedule books them.
+    run.schedule = Schedule::kEager;
+    const RunResult r = model.RunInference(rt, run);
     EXPECT_GT(r.total_us, 0.0);
     EXPECT_GT(r.breakdown.SharePct("Load Embedding"), 0.0);
     EXPECT_GT(r.breakdown.SharePct("Project User Embedding"), 0.0);
@@ -428,6 +434,33 @@ TEST(AllModelsTest, NumericCapKeepsCostAccountingIdentical)
     EXPECT_EQ(a.iterations, b.iterations);
 }
 
+/// One instance of every model in models/, over the tiny datasets.
+struct AllModels {
+    data::InteractionDataset interactions = TinyInteractions();
+    data::SnapshotDataset snapshots = TinySnapshots();
+    data::MolecularDataset molecular = TinyMolecular();
+    data::TrafficDataset traffic = TinyTraffic();
+    data::PointProcessDataset point_process = TinyPointProcess();
+    std::vector<std::unique_ptr<DgnnModel>> all;
+
+    AllModels()
+    {
+        all.push_back(std::make_unique<Jodie>(interactions, JodieConfig{16, 13}));
+        all.push_back(
+            std::make_unique<Tgat>(interactions, TgatConfig{16, 2, 1, 4, 7}));
+        all.push_back(std::make_unique<Tgn>(interactions, TgnConfig{16, 16, 2, 11}));
+        all.push_back(std::make_unique<DyRep>(point_process, DyRepConfig{8, 3, 29}));
+        all.push_back(std::make_unique<Ldg>(
+            point_process, LdgConfig{LdgEncoder::kMlp, 8, 4, 3, 31}));
+        all.push_back(std::make_unique<EvolveGcn>(
+            snapshots, EvolveGcnConfig{EvolveGcnVariant::kO, 8, 17}));
+        all.push_back(
+            std::make_unique<Astgnn>(traffic, AstgnnConfig{8, 2, 1, 1, 23}));
+        all.push_back(
+            std::make_unique<MolDgnn>(molecular, MolDgnnConfig{8, 16, 19}));
+    }
+};
+
 TEST(AllModelsTest, CategoryTimesPartitionElapsedWindow)
 {
     // Invariant the Fig 7 breakdowns rely on: after a full run, the
@@ -435,26 +468,10 @@ TEST(AllModelsTest, CategoryTimesPartitionElapsedWindow)
     // every microsecond the host spends is attributed to exactly one
     // category (async kernel time is captured through the Synchronize
     // waits the models perform).
-    const auto interactions = TinyInteractions();
-    const auto snapshots = TinySnapshots();
-    const auto molecular = TinyMolecular();
-    const auto traffic = TinyTraffic();
-    const auto point_process = TinyPointProcess();
+    const AllModels models;
+    ASSERT_EQ(models.all.size(), 8u);  // every model in models/
 
-    std::vector<std::unique_ptr<DgnnModel>> all;
-    all.push_back(std::make_unique<Jodie>(interactions, JodieConfig{16, 13}));
-    all.push_back(std::make_unique<Tgat>(interactions, TgatConfig{16, 2, 1, 4, 7}));
-    all.push_back(std::make_unique<Tgn>(interactions, TgnConfig{16, 16, 2, 11}));
-    all.push_back(std::make_unique<DyRep>(point_process, DyRepConfig{8, 3, 29}));
-    all.push_back(std::make_unique<Ldg>(point_process,
-                                        LdgConfig{LdgEncoder::kMlp, 8, 4, 3, 31}));
-    all.push_back(std::make_unique<EvolveGcn>(
-        snapshots, EvolveGcnConfig{EvolveGcnVariant::kO, 8, 17}));
-    all.push_back(std::make_unique<Astgnn>(traffic, AstgnnConfig{8, 2, 1, 1, 23}));
-    all.push_back(std::make_unique<MolDgnn>(molecular, MolDgnnConfig{8, 16, 19}));
-    ASSERT_EQ(all.size(), 8u);  // every model in models/
-
-    for (const auto& model : all) {
+    for (const auto& model : models.all) {
         for (const sim::ExecMode mode :
              {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
             sim::Runtime rt = MakeRuntime(mode);
@@ -470,6 +487,38 @@ TEST(AllModelsTest, CategoryTimesPartitionElapsedWindow)
                 1e-9 * std::max(1.0, rt.ElapsedInWindow());
             EXPECT_NEAR(category_sum, rt.ElapsedInWindow(), tolerance)
                 << model->Name() << " in mode " << sim::ToString(mode);
+        }
+    }
+}
+
+TEST(AllModelsTest, NoTimeIsUncategorized)
+{
+    // Every host microsecond lands in a named phase, under both schedules
+    // and with or without a device cache: the staged schedule's throttle
+    // and drain waits and the cache's end-of-run flush are charged to a
+    // model phase, never to "Uncategorized".
+    const AllModels models;
+    for (const auto& model : models.all) {
+        for (const Schedule schedule : {Schedule::kStaged, Schedule::kEager}) {
+            for (const sim::ExecMode mode :
+                 {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
+                for (const bool cached : {false, true}) {
+                    sim::Runtime rt = MakeRuntime(mode);
+                    RunConfig run = SmallRun(mode);
+                    run.schedule = schedule;
+                    // Half the node rows: gathers hit, evict and write back.
+                    run.cache.capacity_bytes =
+                        cached ? 16 * model->CacheRowBytes() : 0;
+                    const RunResult r = model->RunInference(rt, run);
+                    for (const std::string& category : r.breakdown.Categories()) {
+                        EXPECT_NE(category, "Uncategorized")
+                            << model->Name() << " in mode " << sim::ToString(mode)
+                            << (schedule == Schedule::kStaged ? ", staged" : ", eager")
+                            << (cached ? ", cached" : "") << ": "
+                            << r.breakdown.TimeUs(category) << " us";
+                    }
+                }
+            }
         }
     }
 }

@@ -1,12 +1,14 @@
 // Tests for the section-5 optimization implementations: each optimized
 // schedule must (a) be at least as fast as its baseline on the simulated
-// system and (b) leave the numeric outputs bit-identical. The DTDG models'
-// staged schedule (pipelining, Fig 10, plus delta/coalesced transfer,
-// 5.2.2) is checked against the eager schedule the paper profiled.
+// system and (b) leave the numeric outputs bit-identical. The staged
+// schedule (pipelining, Fig 10, plus delta/coalesced transfer, 5.2.2; for
+// TGAT also the parallel sampler of 5.1.1) is checked against the eager
+// schedule the paper profiled.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/bottleneck.hpp"
@@ -14,6 +16,7 @@
 #include "models/evolvegcn.hpp"
 #include "models/jodie.hpp"
 #include "models/moldgnn.hpp"
+#include "models/tgat.hpp"
 
 namespace dgnn::models {
 namespace {
@@ -74,8 +77,8 @@ GpuRun(int64_t batch, int64_t neighbors = 10)
 /// Runs @p model for @p batch_size-item mini-batches (@p max_events items,
 /// 0 = all) on @p rt under @p schedule.
 RunResult
-RunDtdg(DgnnModel& model, int64_t batch_size, int64_t max_events, sim::Runtime& rt,
-        Schedule schedule)
+RunScheduled(DgnnModel& model, int64_t batch_size, int64_t max_events,
+             sim::Runtime& rt, Schedule schedule)
 {
     RunConfig run = GpuRun(batch_size);
     run.mode = rt.Mode();
@@ -84,15 +87,15 @@ RunDtdg(DgnnModel& model, int64_t batch_size, int64_t max_events, sim::Runtime& 
     return model.RunInference(rt, run);
 }
 
-/// The eager-vs-staged contract every DTDG model meets; returns the
-/// hybrid {eager, staged} results for model-specific checks.
+/// The hybrid half of the eager-vs-staged contract every staged model
+/// meets; returns the {eager, staged} results for model-specific checks.
 template <typename MakeModel>
 std::pair<RunResult, RunResult>
-ExpectStagedContract(MakeModel make, int64_t batch_size, int64_t max_events = 0)
+ExpectHybridStagedContract(MakeModel make, int64_t batch_size, int64_t max_events)
 {
     auto run = [&](sim::Runtime& rt, Schedule schedule) {
         auto model = make();
-        return RunDtdg(*model, batch_size, max_events, rt, schedule);
+        return RunScheduled(*model, batch_size, max_events, rt, schedule);
     };
     sim::Runtime eager_gpu = MakeRuntime(sim::ExecMode::kHybrid);
     sim::Runtime staged_gpu = MakeRuntime(sim::ExecMode::kHybrid);
@@ -105,6 +108,20 @@ ExpectStagedContract(MakeModel make, int64_t batch_size, int64_t max_events = 0)
     // A batch's device buffer lives until its done-event is waited, so with
     // two batches in flight the peak exceeds the eager one-batch peak.
     EXPECT_GT(staged.compute_peak_bytes, eager.compute_peak_bytes);
+    return {eager, staged};
+}
+
+/// The eager-vs-staged contract of a model whose staged schedule changes
+/// only device issue; returns the hybrid {eager, staged} results.
+template <typename MakeModel>
+std::pair<RunResult, RunResult>
+ExpectStagedContract(MakeModel make, int64_t batch_size, int64_t max_events = 0)
+{
+    auto run = [&](sim::Runtime& rt, Schedule schedule) {
+        auto model = make();
+        return RunScheduled(*model, batch_size, max_events, rt, schedule);
+    };
+    const auto hybrid = ExpectHybridStagedContract(make, batch_size, max_events);
 
     // The async primitives the staged schedule relies on are no-ops without
     // a GPU, so on the CPU the two schedules issue the same host timeline.
@@ -117,7 +134,7 @@ ExpectStagedContract(MakeModel make, int64_t batch_size, int64_t max_events = 0)
               eager_cpu.GetTrace().Events().size());
     EXPECT_EQ(cpu_staged.compute_peak_bytes, cpu_eager.compute_peak_bytes);
     EXPECT_DOUBLE_EQ(cpu_staged.output_checksum, cpu_eager.output_checksum);
-    return {eager, staged};
+    return hybrid;
 }
 
 TEST(StagedScheduleTest, EvolveGcnO)
@@ -158,6 +175,67 @@ TEST(StagedScheduleTest, Astgnn)
     const auto ds = Traffic();
     ExpectStagedContract([&] { return std::make_unique<Astgnn>(ds, AstgnnConfig{}); },
                          8, 32);
+}
+
+TEST(StagedScheduleTest, Jodie)
+{
+    const auto ds = Interactions();
+    const auto [eager, staged] = ExpectStagedContract(
+        [&] { return std::make_unique<Jodie>(ds, JodieConfig{}); }, 200);
+    // One copy each way per chunk under both schedules; staged only drops
+    // the host's per-t-batch sync.
+    EXPECT_EQ(staged.transfer_count, 2 * staged.iterations);
+    EXPECT_EQ(staged.h2d_bytes, eager.h2d_bytes);
+    EXPECT_EQ(staged.d2h_bytes, eager.d2h_bytes);
+}
+
+TEST(StagedScheduleTest, Tgat)
+{
+    const auto ds = Interactions();
+    // Two attention hops, so both sampler calls are priced.
+    auto make = [&] { return std::make_unique<Tgat>(ds, TgatConfig{64, 2, 2, 10, 7}); };
+    const auto [eager, staged] = ExpectHybridStagedContract(make, 200, 0);
+    // The sampled indices and deltas cross as one pinned copy, the
+    // embeddings return as one.
+    EXPECT_EQ(staged.transfer_count, 2 * staged.iterations);
+    EXPECT_EQ(staged.h2d_bytes, eager.h2d_bytes);
+
+    // On the CPU the schedules differ only in the sampler's pricing: the
+    // same host ops in the same order, no temporal_sampling op longer
+    // under staged (a one-target call runs one thread either way), every
+    // other op as long.
+    auto run_cpu = [&](sim::Runtime& rt, Schedule schedule) {
+        auto model = make();
+        return RunScheduled(*model, 200, 0, rt, schedule);
+    };
+    sim::Runtime eager_cpu = MakeRuntime(sim::ExecMode::kCpuOnly);
+    sim::Runtime staged_cpu = MakeRuntime(sim::ExecMode::kCpuOnly);
+    const RunResult cpu_eager = run_cpu(eager_cpu, Schedule::kEager);
+    const RunResult cpu_staged = run_cpu(staged_cpu, Schedule::kStaged);
+    EXPECT_DOUBLE_EQ(cpu_staged.output_checksum, cpu_eager.output_checksum);
+    const auto& eager_ops = eager_cpu.GetTrace().Events();
+    const auto& staged_ops = staged_cpu.GetTrace().Events();
+    ASSERT_EQ(staged_ops.size(), eager_ops.size());
+    double sampling_saved_us = 0.0;
+    int64_t sampling_ops = 0;
+    for (size_t i = 0; i < eager_ops.size(); ++i) {
+        const sim::TraceEvent& e = eager_ops[i];
+        const sim::TraceEvent& s = staged_ops[i];
+        ASSERT_EQ(s.name, e.name) << "op " << i;
+        ASSERT_EQ(s.kind, e.kind) << "op " << i;
+        if (e.name == "temporal_sampling") {
+            ++sampling_ops;
+            EXPECT_LE(s.Duration(), e.Duration() + 1e-9 * e.end_us) << "op " << i;
+            sampling_saved_us += e.Duration() - s.Duration();
+        } else {
+            EXPECT_NEAR(s.Duration(), e.Duration(), 1e-9 * e.end_us)
+                << e.name << " op " << i;
+        }
+    }
+    EXPECT_GT(sampling_ops, cpu_eager.iterations);  // second hops ran too
+    EXPECT_GT(sampling_saved_us, 0.0);
+    EXPECT_NEAR(cpu_eager.total_us - cpu_staged.total_us, sampling_saved_us,
+                1e-6 * cpu_eager.total_us);
 }
 
 RunResult

@@ -8,8 +8,13 @@
 #include <string>
 #include <vector>
 
+#include <limits>
+
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
+#include "serve/server.hpp"
+#include "shard/sharded_server.hpp"
+#include "sim/pcie.hpp"
 #include "support/check.hpp"
 
 namespace dgnn {
@@ -124,6 +129,84 @@ TEST(RunConfigValidationTest, RejectsNonsenseNamingTheField)
                 << "error does not name " << c.field << ": " << e.what();
         }
     }
+}
+
+/// Expects @p validate to throw a dgnn::Error whose message names @p field.
+void
+ExpectRejectedNaming(const std::string& field, const std::function<void()>& validate)
+{
+    try {
+        validate();
+        ADD_FAILURE() << field << ": nonsense value accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << "error does not name " << field << ": " << e.what();
+    }
+}
+
+TEST(ServingOptionsValidationTest, RejectsNonsenseNamingTheField)
+{
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    struct Case {
+        std::string field;
+        std::function<void(shard::ShardedOptions&)> corrupt;
+    };
+    const std::vector<Case> cases = {
+        {"pipeline_depth",
+         [](shard::ShardedOptions& o) { o.server.pipeline_depth = 0; }},
+        {"pipeline_depth",
+         [](shard::ShardedOptions& o) { o.server.pipeline_depth = -3; }},
+        {"interconnect.bandwidth_gbps",
+         [](shard::ShardedOptions& o) { o.interconnect.bandwidth_gbps = 0.0; }},
+        {"interconnect.bandwidth_gbps",
+         [](shard::ShardedOptions& o) { o.interconnect.bandwidth_gbps = -12.0; }},
+        {"interconnect.bandwidth_gbps",
+         [](shard::ShardedOptions& o) { o.interconnect.bandwidth_gbps = kNan; }},
+        {"interconnect.bandwidth_gbps",
+         [](shard::ShardedOptions& o) { o.interconnect.bandwidth_gbps = kInf; }},
+        {"interconnect.latency_us",
+         [](shard::ShardedOptions& o) { o.interconnect.latency_us = -1.0; }},
+        {"interconnect.latency_us",
+         [](shard::ShardedOptions& o) { o.interconnect.latency_us = kNan; }},
+        {"num_shards", [](shard::ShardedOptions& o) { o.num_shards = 0; }},
+        {"num_shards", [](shard::ShardedOptions& o) { o.num_shards = -2; }},
+        {"num_neighbors", [](shard::ShardedOptions& o) { o.num_neighbors = -1; }},
+        {"cache_config.capacity_bytes",
+         [](shard::ShardedOptions& o) { o.cache_config.capacity_bytes = -1; }},
+    };
+    // The untouched options are valid.
+    shard::ValidateShardedOptions(shard::ShardedOptions{});
+    serve::ValidateServerOptions(serve::ServerOptions{});
+    for (const Case& c : cases) {
+        shard::ShardedOptions options;
+        c.corrupt(options);
+        ExpectRejectedNaming(c.field,
+                             [&] { shard::ValidateShardedOptions(options); });
+    }
+    serve::ServerOptions server;
+    server.pipeline_depth = 0;
+    ExpectRejectedNaming("pipeline_depth",
+                         [&] { serve::ValidateServerOptions(server); });
+}
+
+TEST(ServingOptionsValidationTest, UnpriceableLinkNeverReachesTheCostModel)
+{
+    // A zero-bandwidth link would price every transfer as infinite time.
+    EXPECT_THROW(sim::PcieLink(0.0, 10.0), Error);
+    EXPECT_THROW(sim::PcieLink(-1.0, 10.0), Error);
+    EXPECT_THROW(sim::PcieLink(12.0, -1.0), Error);
+    sim::RuntimeConfig config;
+    config.pcie_bandwidth_gbps = 0.0;
+    ExpectRejectedNaming("bandwidth_gbps", [&] { sim::Runtime runtime(config); });
+    // A topology rejects the link when it is set, naming which one.
+    const sim::LinkSpec dead{sim::LinkKind::kPcie, 0.0, 10.0};
+    ExpectRejectedNaming("peer_link.bandwidth_gbps",
+                         [&] { (void)sim::Topology::ScaleOut(2, dead); });
+    sim::TopologyNode node;
+    node.host_link.latency_us = -1.0;
+    sim::Topology topology;
+    ExpectRejectedNaming("host_link.latency_us", [&] { topology.AddNode(node); });
 }
 
 TEST(FormatDurationTest, UnitSelection)
