@@ -6,9 +6,9 @@
 //      pipelining with two mini-batches in flight (5.2.1 / Fig 10) plus
 //      one coalesced pinned copy each way per mini-batch, which for
 //      EvolveGCN carries only the changed edges (5.2.2). TGAT's staged
-//      batches also sample one target per thread while the previous batch
-//      runs on the device (5.1.1); JODIE's drop the host sync between
-//      t-batches.
+//      batches sample on the device over a resident temporal adjacency,
+//      one kernel per hop, so only the targets cross PCIe (5.1.1); JODIE's
+//      drop the host sync between t-batches.
 //   2. JODIE t-batching (3.3): vs fully sequential per-event processing.
 //
 // Every optimized variant is checked to produce the identical numeric

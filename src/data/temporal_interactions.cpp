@@ -1,6 +1,7 @@
 #include "data/temporal_interactions.hpp"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -68,12 +69,43 @@ DrawPowerLaw(Rng& rng, int64_t n, double alpha)
 
 }  // namespace
 
+void
+ValidateInteractionSpec(const InteractionSpec& spec)
+{
+    DGNN_CHECK(spec.num_users >= 1, "num_users must be positive, got ",
+               spec.num_users);
+    DGNN_CHECK(spec.num_items >= 1, "num_items must be positive, got ",
+               spec.num_items);
+    DGNN_CHECK(spec.num_events >= 0, "num_events must be non-negative, got ",
+               spec.num_events);
+    DGNN_CHECK(spec.edge_feature_dim >= 1, "edge_feature_dim must be positive, got ",
+               spec.edge_feature_dim);
+    DGNN_CHECK(spec.repeat_prob >= 0.0 && spec.repeat_prob <= 1.0,
+               "repeat_prob must lie in [0, 1], got ", spec.repeat_prob);
+    DGNN_CHECK(std::isfinite(spec.mean_gap) && spec.mean_gap > 0.0,
+               "mean_gap must be positive and finite, got ", spec.mean_gap);
+    DGNN_CHECK(std::isfinite(spec.popularity_alpha) && spec.popularity_alpha >= 0.0,
+               "popularity_alpha must be non-negative and finite, got ",
+               spec.popularity_alpha);
+    // The edge- and node-feature tables hold edge_feature_dim floats per
+    // event and per node; their byte counts must be representable before
+    // anything is sized from them.
+    constexpr int64_t kMaxBytes = std::numeric_limits<int64_t>::max();
+    const int64_t max_rows = kMaxBytes / 4 / spec.edge_feature_dim;
+    DGNN_CHECK(spec.num_events <= max_rows,
+               "num_events x edge_feature_dim x 4 bytes overflows int64: num_events ",
+               spec.num_events, ", edge_feature_dim ", spec.edge_feature_dim);
+    DGNN_CHECK(spec.num_users <= max_rows - spec.num_items,
+               "(num_users + num_items) x edge_feature_dim x 4 bytes overflows "
+               "int64: num_users ",
+               spec.num_users, ", num_items ", spec.num_items,
+               ", edge_feature_dim ", spec.edge_feature_dim);
+}
+
 InteractionDataset
 GenerateInteractions(const InteractionSpec& spec)
 {
-    DGNN_CHECK(spec.num_users > 0 && spec.num_items > 0, "dataset '", spec.name,
-               "' needs positive user/item counts");
-    DGNN_CHECK(spec.num_events >= 0, "negative event count");
+    ValidateInteractionSpec(spec);
 
     Rng rng(spec.seed);
     const int64_t num_nodes = spec.num_users + spec.num_items;

@@ -51,7 +51,11 @@ struct InteractionDataset {
     int64_t ItemOffset() const { return spec.num_users; }
 };
 
-/// Generates the dataset deterministically from the spec.
+/// Rejects a spec the generator cannot honour: a dgnn::Error naming the
+/// offending field, raised before anything is allocated.
+void ValidateInteractionSpec(const InteractionSpec& spec);
+
+/// Generates the dataset deterministically from the spec (validated first).
 InteractionDataset GenerateInteractions(const InteractionSpec& spec);
 
 }  // namespace dgnn::data

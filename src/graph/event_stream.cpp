@@ -57,7 +57,8 @@ EventStream::NumBatches(int64_t batch_size) const
 }
 
 TemporalAdjacency::TemporalAdjacency(const EventStream& stream)
-    : history_(static_cast<size_t>(stream.NumNodes()))
+    : history_(static_cast<size_t>(stream.NumNodes())),
+      num_entries_(2 * stream.NumEvents())
 {
     // Events arrive in time order, so per-node histories are built sorted.
     for (const TemporalEvent& e : stream.Events()) {

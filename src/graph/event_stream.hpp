@@ -63,6 +63,9 @@ class TemporalAdjacency {
 
     int64_t NumNodes() const { return static_cast<int64_t>(history_.size()); }
 
+    /// Entries across every history: two per event (one per endpoint).
+    int64_t NumEntries() const { return num_entries_; }
+
     /// Full history of @p node, ascending in time.
     std::span<const Entry> History(int64_t node) const;
 
@@ -72,6 +75,7 @@ class TemporalAdjacency {
 
   private:
     std::vector<std::vector<Entry>> history_;
+    int64_t num_entries_ = 0;
 };
 
 }  // namespace dgnn::graph

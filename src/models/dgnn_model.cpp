@@ -130,6 +130,14 @@ TensorBytes(std::initializer_list<const Tensor*> tensors)
     return bytes;
 }
 
+/// Probes and sort comparisons execute a handful of scalar ops each,
+/// wherever the sampler runs.
+int64_t
+SamplingFlops(const graph::SamplingCost& cost)
+{
+    return cost.bisection_probes * 16 + cost.sort_ops * 8;
+}
+
 }  // namespace
 
 Tensor
@@ -300,6 +308,33 @@ NnExecutor::SampleOnCpu(graph::TemporalNeighborSampler& sampler,
     return result;
 }
 
+std::vector<graph::SampledNeighborhood>
+NnExecutor::SampleOnDevice(graph::TemporalNeighborSampler& sampler,
+                           const std::vector<int64_t>& nodes,
+                           const std::vector<double>& times, int64_t k)
+{
+    std::vector<graph::SampledNeighborhood> result =
+        sampler.SampleBatch(nodes, times, k);
+    const graph::SamplingCost cost = sampler.TakeCost();
+    runtime_.Launch(
+        DeviceSamplingKernel(cost, static_cast<int64_t>(nodes.size()), k));
+    return result;
+}
+
+sim::KernelDesc
+DeviceSamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k)
+{
+    sim::KernelDesc desc;
+    desc.name = "temporal_sampling";
+    desc.flops = SamplingFlops(cost);
+    // One 32-byte sector per bisection probe, the gathered history entries,
+    // and the [targets, k] (neighbor id, time) slots written.
+    desc.bytes = cost.bisection_probes * 32 + cost.gathered_bytes + targets * k * 16;
+    desc.parallel_items = std::max<int64_t>(1, targets * k);
+    desc.irregular = true;
+    return desc;
+}
+
 sim::KernelDesc
 SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
                graph::SamplingStrategy strategy, Schedule schedule)
@@ -316,8 +351,7 @@ SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
     const int64_t per_candidate_bytes = uniform ? 64 : 8;
     sim::KernelDesc desc;
     desc.name = "temporal_sampling";
-    // Probes and sort comparisons execute a handful of scalar ops each.
-    desc.flops = cost.bisection_probes * 16 + cost.sort_ops * 8;
+    desc.flops = SamplingFlops(cost);
     // Uniform (TGAT-style) sampling materializes padded [targets, k]
     // NumPy arrays, so its traffic scales with the requested k even when
     // node histories are shorter than k.

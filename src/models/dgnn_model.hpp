@@ -44,8 +44,11 @@ enum class Schedule {
     /// kStagedInFlight mini-batches stay in flight (sim::StagingPipeline).
     ///  - DTDG (EvolveGCN-O/-H, MolDGNN, ASTGNN): the whole mini-batch;
     ///    EvolveGCN sends only the changed edges after step 0.
-    ///  - TGAT: sampled indices and time deltas in, embeddings out; batch
-    ///    i+1 samples on the host while batch i runs on the device.
+    ///  - TGAT: the temporal adjacency stays resident on the device and
+    ///    each hop samples as one kernel behind the input fence, so only the
+    ///    targets' ids and times cross in; embeddings return. With a device
+    ///    cache TGAT samples on the host (its gather resolves hits by the
+    ///    sampled ids) and sends the sampled indices and time deltas.
     ///  - JODIE: the chunk's embedding rows in and out, no host sync between
     ///    t-batches. With a device cache JODIE keeps eager issue, because
     ///    its gathers write evictions back synchronously.
@@ -273,6 +276,14 @@ class NnExecutor {
                 const std::vector<int64_t>& nodes, const std::vector<double>& times,
                 int64_t k, Schedule schedule);
 
+    /// Device-side temporal sampling over a device-resident adjacency: the
+    /// real sampling still runs on the host for the numerics, and the cost
+    /// lands on the compute stream as one kernel (DeviceSamplingKernel).
+    std::vector<graph::SampledNeighborhood>
+    SampleOnDevice(graph::TemporalNeighborSampler& sampler,
+                   const std::vector<int64_t>& nodes,
+                   const std::vector<double>& times, int64_t k);
+
   private:
     sim::Runtime& runtime_;
 };
@@ -289,6 +300,15 @@ class NnExecutor {
 sim::KernelDesc SamplingKernel(const graph::SamplingCost& cost, int64_t targets,
                                int64_t k, graph::SamplingStrategy strategy,
                                Schedule schedule);
+
+/// The same sampling work as one device kernel over a device-resident
+/// adjacency (DESIGN.md section 5): the flops of SamplingKernel, one 32-byte
+/// sector per bisection probe, the gathered entries and the [targets, k]
+/// slots written, with targets * k parallel items. A batched launch carries
+/// no per-target framework call, so SamplingKernel's per-target overhead
+/// bytes are not charged.
+sim::KernelDesc DeviceSamplingKernel(const graph::SamplingCost& cost,
+                                     int64_t targets, int64_t k);
 
 /// Deterministic fingerprint helper: accumulates sum + abs-sum of a tensor.
 class Checksum {

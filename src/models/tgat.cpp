@@ -19,6 +19,28 @@ FeatureRows(const sim::SlotResources& slot)
     return "features@" + slot.dev_in;
 }
 
+/// Hazard resource of a batch's device-sampled [targets, k] slots, written
+/// by the sampling kernels and read by every later kernel of the batch.
+std::string
+SampledSlots(const sim::SlotResources& slot)
+{
+    return "sampled@" + slot.dev_in;
+}
+
+/// Appends every sampled (non-padding) neighbor of @p hoods to @p out.
+void
+AppendNeighbors(const std::vector<graph::SampledNeighborhood>& hoods,
+                std::vector<int64_t>& out)
+{
+    for (const auto& h : hoods) {
+        for (const int64_t nbr : h.neighbors) {
+            if (nbr >= 0) {
+                out.push_back(nbr);
+            }
+        }
+    }
+}
+
 }  // namespace
 
 Tgat::Tgat(const data::InteractionDataset& dataset, TgatConfig config)
@@ -141,6 +163,22 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         runtime.AllocDevice(resident_table_bytes, "tgat_feature_tables");
     runtime.CopyToDevice(resident_table_bytes, "tgat_feature_tables_h2d");
 
+    // Staged hybrid runs keep the temporal adjacency (entries plus CSR
+    // offsets) resident too and sample on the device. A cached run samples
+    // on the host: its gather resolves hits by the sampled ids.
+    const bool staged = run.schedule == Schedule::kStaged;
+    const bool device_sampling =
+        staged && runtime.HasGpu() && !feature_cache.Enabled();
+    sim::DeviceBuffer resident_adjacency;
+    if (device_sampling) {
+        const int64_t adjacency_bytes =
+            adjacency_.NumEntries() *
+                static_cast<int64_t>(sizeof(graph::TemporalAdjacency::Entry)) +
+            (adjacency_.NumNodes() + 1) * 8;
+        resident_adjacency = runtime.AllocDevice(adjacency_bytes, "tgat_adjacency");
+        runtime.CopyToDevice(adjacency_bytes, "tgat_adjacency_h2d");
+    }
+
     runtime.ResetMeasurementWindow();
 
     const int64_t total_events =
@@ -151,7 +189,6 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t d = config_.embed_dim;
     Checksum checksum;
     int64_t iterations = 0;
-    const bool staged = run.schedule == Schedule::kStaged;
     sim::StagingPipeline staging(runtime, kStagedInFlight);
     const sim::SlotResources eager_slot(0);
 
@@ -174,72 +211,70 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
         const int64_t n = static_cast<int64_t>(nodes.size());
 
-        // --- Sampling (CPU): L1 neighborhoods; L2 recursion samples for
-        // every sampled neighbor. With the cache on, `touched` accumulates
-        // every node whose feature row the batch reads (targets + all
-        // sampled hops) — the cache-key set of the gather below.
-        std::vector<graph::SampledNeighborhood> hoods;
+        // --- Sampling: L1 neighborhoods; L2 recursion samples for every
+        // sampled neighbor. `sample_hop` samples one hop and issues its
+        // cost. With the cache on, `touched` accumulates every node whose
+        // feature row the batch reads (targets + all sampled hops) — the
+        // cache-key set of the gather below.
         std::vector<int64_t> touched;
         if (feature_cache.Enabled()) {
             touched = nodes;
         }
+        const auto sample_hops = [&](const auto& sample_hop) {
+            const auto hoods = sample_hop(0, nodes, times, k);
+            if (feature_cache.Enabled()) {
+                AppendNeighbors(hoods, touched);
+            }
+            if (config_.num_layers < 2) {
+                return;
+            }
+            std::vector<int64_t> inner_nodes;
+            std::vector<double> inner_times;
+            for (const auto& h : hoods) {
+                for (size_t j = 0; j < h.neighbors.size(); ++j) {
+                    if (h.neighbors[j] >= 0) {
+                        inner_nodes.push_back(h.neighbors[j]);
+                        inner_times.push_back(h.times[j]);
+                    }
+                }
+            }
+            if (!inner_nodes.empty()) {
+                const auto inner_hoods = sample_hop(
+                    1, inner_nodes, inner_times, config_.second_hop_neighbors);
+                if (feature_cache.Enabled()) {
+                    AppendNeighbors(inner_hoods, touched);
+                }
+            }
+        };
         {
             core::ProfileScope scope(profiler, "Sampling (CPU)");
             sim::MaybeAccess access(runtime, [&] { return slot.HostBuildAccess(); });
             ChargeBatchOverhead(runtime);
-            hoods = exec.SampleOnCpu(sampler, nodes, times, k, run.schedule);
-            if (feature_cache.Enabled()) {
-                for (const auto& h : hoods) {
-                    for (const int64_t nbr : h.neighbors) {
-                        if (nbr >= 0) {
-                            touched.push_back(nbr);
-                        }
-                    }
-                }
-            }
-            if (config_.num_layers >= 2) {
-                std::vector<int64_t> inner_nodes;
-                std::vector<double> inner_times;
-                for (const auto& h : hoods) {
-                    for (size_t j = 0; j < h.neighbors.size(); ++j) {
-                        if (h.neighbors[j] >= 0) {
-                            inner_nodes.push_back(h.neighbors[j]);
-                            inner_times.push_back(h.times[j]);
-                        }
-                    }
-                }
-                if (!inner_nodes.empty()) {
-                    const auto inner_hoods = exec.SampleOnCpu(
-                        sampler, inner_nodes, inner_times,
-                        config_.second_hop_neighbors, run.schedule);
-                    if (feature_cache.Enabled()) {
-                        for (const auto& h : inner_hoods) {
-                            for (const int64_t nbr : h.neighbors) {
-                                if (nbr >= 0) {
-                                    touched.push_back(nbr);
-                                }
-                            }
-                        }
-                    }
-                }
+            if (!device_sampling) {
+                sample_hops([&](int64_t, const std::vector<int64_t>& hop_nodes,
+                                const std::vector<double>& hop_times, int64_t hop_k) {
+                    return exec.SampleOnCpu(sampler, hop_nodes, hop_times, hop_k,
+                                            run.schedule);
+                });
             }
         }
 
-        // --- Memory Copy: sampled neighbor indices and time deltas (the
-        // feature tables already live on the device). Staged, they cross
-        // as one pinned copy fenced into the compute stream.
+        // --- Memory Copy: the feature tables already live on the device.
+        // Device sampling needs only the targets' ids and times; host
+        // sampling sends the sampled indices and time deltas. Staged, they
+        // cross as one pinned copy fenced into the compute stream.
         const int64_t gathered_nodes = n * (1 + k);
-        const int64_t index_bytes = gathered_nodes * 8;
-        const int64_t delta_bytes = n * k * 8;
+        const int64_t input_bytes =
+            device_sampling ? n * 16 : gathered_nodes * 8 + n * k * 8;
         sim::DeviceBuffer activations = runtime.AllocDevice(
             gathered_nodes * d * 4 * 2, "tgat_batch");
         {
             core::ProfileScope scope(profiler, "Memory Copy");
             if (staged) {
-                staging.StageInputs(index_bytes + delta_bytes, "tgat_batch_h2d");
+                staging.StageInputs(input_bytes, "tgat_batch_h2d");
             } else {
                 sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
-                runtime.CopyToDevice(index_bytes + delta_bytes, "tgat_batch_h2d");
+                runtime.CopyToDevice(input_bytes, "tgat_batch_h2d");
             }
             if (feature_cache.Enabled()) {
                 // Feature rows of every touched node (targets + every
@@ -254,12 +289,33 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
         }
 
-        // The batch's kernels read its indices (and gathered feature rows);
-        // the result copy below declares its own footprint.
+        // --- Sampling on the device: one kernel per hop behind the input
+        // fence, the second reading the first's slots in stream order. The
+        // phase keeps the paper's "Sampling (CPU)" name so the per-phase
+        // breakdown stays comparable across schedules.
+        if (device_sampling) {
+            core::ProfileScope scope(profiler, "Sampling (CPU)");
+            sample_hops([&](int64_t hop, const std::vector<int64_t>& hop_nodes,
+                            const std::vector<double>& hop_times, int64_t hop_k) {
+                sim::MaybeAccess access(runtime, [&] {
+                    return sim::AccessSet{
+                        {hop == 0 ? slot.dev_in : SampledSlots(slot), "tgat_adjacency"},
+                        {SampledSlots(slot)}};
+                });
+                return exec.SampleOnDevice(sampler, hop_nodes, hop_times, hop_k);
+            });
+        }
+
+        // The batch's kernels read its inputs (and gathered feature rows or
+        // device-sampled slots); the result copy below declares its own
+        // footprint.
         sim::MaybeAccess kernels(runtime, [&] {
             sim::AccessSet access = slot.KernelAccess();
             if (feature_cache.Enabled()) {
                 access.reads.push_back(FeatureRows(slot));
+            }
+            if (device_sampling) {
+                access.reads.push_back(SampledSlots(slot));
             }
             return access;
         });

@@ -15,6 +15,12 @@
 /// The CPU-side sampling is the dominant cost (workload-imbalance
 /// bottleneck); attention work grows with the sampled-neighbor count, which
 /// drives the GPU-utilization trend of Fig 6(a).
+///
+/// The staged hybrid schedule without a device cache moves the sampling to
+/// the device: the temporal adjacency is copied once before the measured
+/// window, only the targets' ids and times cross per batch, and each hop
+/// samples as one kernel behind the input fence, still charged to
+/// [Sampling (CPU)] so the phases keep their paper names.
 
 #include <memory>
 #include <vector>

@@ -1,7 +1,11 @@
 // Tests for the synthetic dataset generators.
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +14,7 @@
 #include "data/social_evolution_gen.hpp"
 #include "data/temporal_interactions.hpp"
 #include "data/traffic_gen.hpp"
+#include "support/check.hpp"
 
 namespace dgnn::data {
 namespace {
@@ -30,6 +35,56 @@ TEST(InteractionsTest, SizesAndBipartiteRange)
         EXPECT_LT(e.src, 30);                 // src is a user
         EXPECT_GE(e.dst, ds.ItemOffset());    // dst is an item
         EXPECT_LT(e.dst, 50);
+    }
+}
+
+TEST(InteractionsTest, RejectsNonsenseNamingTheField)
+{
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    struct Case {
+        std::string field;
+        std::function<void(InteractionSpec&)> corrupt;
+    };
+    const std::vector<Case> cases = {
+        {"num_users", [](InteractionSpec& s) { s.num_users = 0; }},
+        {"num_users", [](InteractionSpec& s) { s.num_users = -5; }},
+        {"num_items", [](InteractionSpec& s) { s.num_items = 0; }},
+        {"num_events", [](InteractionSpec& s) { s.num_events = -1; }},
+        {"edge_feature_dim", [](InteractionSpec& s) { s.edge_feature_dim = 0; }},
+        {"repeat_prob", [](InteractionSpec& s) { s.repeat_prob = -0.1; }},
+        {"repeat_prob", [](InteractionSpec& s) { s.repeat_prob = 1.5; }},
+        {"repeat_prob", [](InteractionSpec& s) { s.repeat_prob = kNan; }},
+        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = 0.0; }},
+        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = -1.0; }},
+        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = kNan; }},
+        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = kInf; }},
+        {"popularity_alpha", [](InteractionSpec& s) { s.popularity_alpha = -0.5; }},
+        {"popularity_alpha", [](InteractionSpec& s) { s.popularity_alpha = kNan; }},
+        {"popularity_alpha", [](InteractionSpec& s) { s.popularity_alpha = kInf; }},
+        // Rejected by the byte-count check, before the table is sized.
+        {"num_events", [](InteractionSpec& s) { s.num_events = kMax / 2; }},
+        {"edge_feature_dim",
+         [](InteractionSpec& s) { s.edge_feature_dim = kMax / 8; }},
+        {"num_users", [](InteractionSpec& s) { s.num_users = kMax; }},
+    };
+    InteractionSpec valid;
+    valid.num_users = 10;
+    valid.num_items = 5;
+    valid.num_events = 20;
+    valid.edge_feature_dim = 4;
+    EXPECT_EQ(GenerateInteractions(valid).stream.NumEvents(), 20);
+    for (const Case& c : cases) {
+        InteractionSpec spec = valid;
+        c.corrupt(spec);
+        try {
+            (void)GenerateInteractions(spec);
+            ADD_FAILURE() << c.field << ": nonsense value accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << "error does not name " << c.field << ": " << e.what();
+        }
     }
 }
 

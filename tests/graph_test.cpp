@@ -124,6 +124,8 @@ TEST(TemporalAdjacencyTest, HistoryBothDirections)
     EXPECT_EQ(adj.History(1).size(), 1u);
     EXPECT_EQ(adj.History(1)[0].neighbor, 0);
     EXPECT_EQ(adj.History(2)[0].neighbor, 0);
+    // One entry per endpoint: what a device-resident copy has to hold.
+    EXPECT_EQ(adj.NumEntries(), 4);
 }
 
 TEST(TemporalAdjacencyTest, HistoryIsTimeSorted)

@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/bottleneck.hpp"
 #include "models/astgnn.hpp"
@@ -17,6 +24,7 @@
 #include "models/jodie.hpp"
 #include "models/moldgnn.hpp"
 #include "models/tgat.hpp"
+#include "models/tgn.hpp"
 
 namespace dgnn::models {
 namespace {
@@ -189,16 +197,39 @@ TEST(StagedScheduleTest, Jodie)
     EXPECT_EQ(staged.d2h_bytes, eager.d2h_bytes);
 }
 
+/// Ops named @p name of kind @p kind in @p rt's trace.
+int64_t
+CountOps(const sim::Runtime& rt, const std::string& name, sim::EventKind kind)
+{
+    int64_t count = 0;
+    for (const sim::TraceEvent& e : rt.GetTrace().Events()) {
+        count += e.name == name && e.kind == kind ? 1 : 0;
+    }
+    return count;
+}
+
 TEST(StagedScheduleTest, Tgat)
 {
     const auto ds = Interactions();
     // Two attention hops, so both sampler calls are priced.
     auto make = [&] { return std::make_unique<Tgat>(ds, TgatConfig{64, 2, 2, 10, 7}); };
     const auto [eager, staged] = ExpectHybridStagedContract(make, 200, 0);
-    // The sampled indices and deltas cross as one pinned copy, the
-    // embeddings return as one.
+    // The adjacency is resident and sampling runs on the device, so only
+    // the targets' ids and times (both endpoints of every event) cross in
+    // as one pinned copy; the embeddings return as one.
     EXPECT_EQ(staged.transfer_count, 2 * staged.iterations);
-    EXPECT_EQ(staged.h2d_bytes, eager.h2d_bytes);
+    EXPECT_EQ(staged.h2d_bytes, 2 * ds.stream.NumEvents() * 16);
+    EXPECT_LT(staged.h2d_bytes, eager.h2d_bytes);
+    // One sampling kernel per hop per batch, none left on the host.
+    {
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        auto model = make();
+        const RunResult again = RunScheduled(*model, 200, 0, rt, Schedule::kStaged);
+        EXPECT_EQ(again.total_us, staged.total_us);
+        EXPECT_EQ(CountOps(rt, "temporal_sampling", sim::EventKind::kKernel),
+                  2 * staged.iterations);
+        EXPECT_EQ(CountOps(rt, "temporal_sampling", sim::EventKind::kHostOp), 0);
+    }
 
     // On the CPU the schedules differ only in the sampler's pricing: the
     // same host ops in the same order, no temporal_sampling op longer
@@ -236,6 +267,111 @@ TEST(StagedScheduleTest, Tgat)
     EXPECT_GT(sampling_saved_us, 0.0);
     EXPECT_NEAR(cpu_eager.total_us - cpu_staged.total_us, sampling_saved_us,
                 1e-6 * cpu_eager.total_us);
+}
+
+TEST(StagedScheduleTest, CachedTgatSamplesOnTheHost)
+{
+    // The cached gather resolves hits by the sampled ids, so a staged run
+    // with a device cache keeps the host sampler and sends the sampled
+    // indices and deltas.
+    const auto ds = Interactions();
+    Tgat model(ds, TgatConfig{64, 2, 2, 10, 7});
+    sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+    RunConfig run = GpuRun(200);
+    run.cache.capacity_bytes = ds.NumNodes() / 4 * model.CacheRowBytes();
+    const RunResult r = model.RunInference(rt, run);
+    EXPECT_EQ(CountOps(rt, "temporal_sampling", sim::EventKind::kHostOp),
+              2 * r.iterations);
+    EXPECT_EQ(CountOps(rt, "temporal_sampling", sim::EventKind::kKernel), 0);
+    EXPECT_GT(r.h2d_bytes, 2 * ds.stream.NumEvents() * 16);
+}
+
+/// A breakdown category as perfbench spells it in a metric name
+/// (models.<model>.sim.<category>_ms): lower-case alphanumeric runs joined
+/// by '_'.
+std::string
+MetricToken(const std::string& text)
+{
+    std::string out;
+    bool pending = false;
+    for (const char c : text) {
+        if (std::isalnum(static_cast<unsigned char>(c))) {
+            if (pending && !out.empty()) {
+                out += '_';
+            }
+            pending = false;
+            out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        } else {
+            pending = true;
+        }
+    }
+    return out;
+}
+
+/// The per-phase categories BENCHMARK.json reads, per model token.
+std::map<std::string, std::set<std::string>>
+BenchmarkCategories()
+{
+    std::ifstream in(std::string(DGNN_SOURCE_DIR) + "/BENCHMARK.json");
+    EXPECT_TRUE(in.good()) << "BENCHMARK.json not found";
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::regex metric(R"re("models\.([a-z0-9_]+)\.sim\.([a-z0-9_]+)_ms")re");
+    std::map<std::string, std::set<std::string>> categories;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), metric);
+         it != std::sregex_iterator(); ++it) {
+        categories[(*it)[1]].insert((*it)[2]);
+    }
+    return categories;
+}
+
+TEST(CategoryGuardTest, EveryBenchmarkedPhaseIsReported)
+{
+    // The benchmark fails a run whose model stops reporting a per-phase
+    // metric it lists, so a renamed or vanished phase must fail here first.
+    const auto interactions = Interactions();
+    const auto snapshots = Snapshots();
+    const auto molecules = Molecules();
+    const auto traffic = Traffic();
+    struct Case {
+        std::unique_ptr<DgnnModel> model;
+        int64_t batch_size;
+        int64_t num_neighbors;
+    };
+    std::vector<Case> cases;
+    cases.push_back({std::make_unique<Tgn>(interactions, TgnConfig{}), 200, 20});
+    cases.push_back({std::make_unique<Tgat>(interactions, TgatConfig{}), 200, 20});
+    cases.push_back({std::make_unique<Jodie>(interactions, JodieConfig{}), 200, 20});
+    cases.push_back({std::make_unique<EvolveGcn>(
+                         snapshots, EvolveGcnConfig{EvolveGcnVariant::kO, 64, 17}),
+                     1, 10});
+    cases.push_back({std::make_unique<MolDgnn>(molecules, MolDgnnConfig{}), 16, 10});
+    cases.push_back({std::make_unique<Astgnn>(traffic, AstgnnConfig{}), 8, 10});
+
+    const auto expected = BenchmarkCategories();
+    std::set<std::string> covered;
+    for (Case& c : cases) {
+        const std::string token = MetricToken(c.model->Name());
+        covered.insert(token);
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        RunConfig run = GpuRun(c.batch_size, c.num_neighbors);
+        run.numeric_cap = 1;
+        const RunResult r = c.model->RunInference(rt, run);
+        std::set<std::string> reported;
+        for (const core::BreakdownEntry& e : r.breakdown.Entries()) {
+            reported.insert(MetricToken(e.category));
+        }
+        const auto it = expected.find(token);
+        ASSERT_NE(it, expected.end()) << token << " has no per-phase metric";
+        for (const std::string& category : it->second) {
+            EXPECT_TRUE(reported.count(category) > 0)
+                << c.model->Name() << " no longer reports models." << token
+                << ".sim." << category << "_ms";
+        }
+    }
+    for (const auto& [token, categories] : expected) {
+        EXPECT_TRUE(covered.count(token) > 0) << "no guard runs " << token;
+    }
 }
 
 RunResult
