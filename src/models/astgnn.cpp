@@ -31,7 +31,7 @@ Astgnn::WeightBytes() const
 
 void
 Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
-                               const char* label, int64_t batch, int64_t steps,
+                               sim::StagingPipeline& staging, const char* label, int64_t batch, int64_t steps,
                                const RunConfig& run, const Tensor& window,
                                Checksum& checksum)
 {
@@ -50,7 +50,7 @@ Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
     attn.bytes = batch * sensors * steps * d * 4 * 4;
     attn.parallel_items = batch * sensors * steps * d;
     runtime.Launch(attn);
-    PhaseBarrier(runtime, run);
+    staging.Barrier();
 
     // Numeric path: real attention over real sensor histories, capped.
     const int64_t cap = run.numeric_cap > 0 ? std::min(run.numeric_cap, sensors)
@@ -71,8 +71,9 @@ Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
 }
 
 void
-Astgnn::SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler, int64_t batch,
-                        int64_t steps, const RunConfig& run, Checksum& checksum)
+Astgnn::SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler,
+                        sim::StagingPipeline& staging, int64_t batch, int64_t steps,
+                        const RunConfig& run, Checksum& checksum)
 {
     core::ProfileScope scope(profiler, "Spatial-attention GCN");
     const int64_t d = config_.model_dim;
@@ -91,7 +92,7 @@ Astgnn::SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler, int64_t batc
                 (road_csr_.Nnz() * 12 + 2 * road_csr_.n * d * 4);
     gcn.parallel_items = batch * steps * road_csr_.n * d;
     runtime.Launch(gcn);
-    PhaseBarrier(runtime, run);
+    staging.Barrier();
 
     // Numeric path: real spatial convolution over the per-sensor means of
     // the real signal, for one capped step.
@@ -143,17 +144,14 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
-    const bool staged = run.schedule == Schedule::kStaged;
-    sim::StagingPipeline staging(runtime, kStagedInFlight);
-    const sim::SlotResources eager_slot(0);
+    sim::StagingPipeline staging(runtime, run.schedule);
 
     for (int64_t begin = 0; begin < samples; begin += bs) {
         const int64_t end = std::min(begin + bs, samples);
         const int64_t nb = end - begin;
         const int64_t window_bytes =
             sensors * dataset_.spec.channels * (hist + horizon) * 4;
-        const sim::SlotResources& slot =
-            staged ? AdmitBatch(staging, profiler, "Memory Copy") : eager_slot;
+        const sim::SlotResources& slot = AdmitBatch(staging, profiler, "Memory Copy");
 
         profiler.Begin("iteration");
 
@@ -175,12 +173,7 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             nb * sensors * (hist + horizon) * d * 4, "astgnn_batch");
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            if (staged) {
-                staging.StageInputs(nb * window_bytes, "windows_h2d");
-            } else {
-                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
-                runtime.CopyToDevice(nb * window_bytes, "windows_h2d");
-            }
+            staging.StageInputs(nb * window_bytes, "windows_h2d");
         }
 
         // The batch's kernels; the result copy below declares its own.
@@ -202,11 +195,11 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         runtime.Marker("encoder_begin");
         const Tensor window = dataset_.Window(begin, hist);
         for (int64_t l = 0; l < config_.encoder_layers; ++l) {
-            TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, hist,
-                                   run, window, checksum);
-            SpatialGcnPhase(exec, profiler, nb, hist, run, checksum);
+            TemporalAttentionPhase(exec, profiler, staging, "Temporal Attention",
+                                   nb, hist, run, window, checksum);
+            SpatialGcnPhase(exec, profiler, staging, nb, hist, run, checksum);
         }
-        PhaseBarrier(runtime, run);
+        staging.Barrier();
         runtime.Marker("encoder_end");
         profiler.End();
 
@@ -214,11 +207,11 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         profiler.Begin("Decoder");
         runtime.Marker("decoder_begin");
         for (int64_t l = 0; l < config_.decoder_layers; ++l) {
-            TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, horizon,
-                                   run, window, checksum);
-            TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, horizon,
-                                   run, window, checksum);
-            SpatialGcnPhase(exec, profiler, nb, horizon, run, checksum);
+            TemporalAttentionPhase(exec, profiler, staging, "Temporal Attention",
+                                   nb, horizon, run, window, checksum);
+            TemporalAttentionPhase(exec, profiler, staging, "Temporal Attention",
+                                   nb, horizon, run, window, checksum);
+            SpatialGcnPhase(exec, profiler, staging, nb, horizon, run, checksum);
         }
         runtime.Marker("decoder_end");
         profiler.End();
@@ -226,7 +219,7 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Etc: end-of-iteration CUDA synchronization.
         {
             core::ProfileScope scope(profiler, "Etc(data loading, cuda sync)");
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
 
         // --- Memory Copy: predictions D2H.
@@ -234,12 +227,7 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             core::ProfileScope scope(profiler, "Memory Copy");
             const int64_t out_bytes =
                 nb * sensors * dataset_.spec.channels * horizon * 4;
-            if (staged) {
-                staging.Retire(out_bytes, "predictions_d2h", std::move(act));
-            } else {
-                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
-                runtime.CopyToHost(out_bytes, "predictions_d2h");
-            }
+            staging.Retire(out_bytes, "predictions_d2h", std::move(act));
         }
         profiler.End();  // iteration
         ++iterations;

@@ -21,14 +21,6 @@ ChargeBatchOverhead(sim::Runtime& runtime)
     runtime.RunHostFor("framework_overhead", kFrameworkBatchOverheadUs);
 }
 
-void
-PhaseBarrier(sim::Runtime& runtime, const RunConfig& run)
-{
-    if (run.schedule == Schedule::kEager) {
-        (void)runtime.Synchronize();
-    }
-}
-
 const sim::SlotResources&
 AdmitBatch(sim::StagingPipeline& staging, core::Profiler& profiler,
            const std::string& wait_phase)

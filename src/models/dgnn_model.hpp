@@ -33,39 +33,8 @@
 
 namespace dgnn::models {
 
-/// How a model issues its mini-batches (DESIGN.md §14). CPU-only runs
-/// issue the same host timeline under both, because the async primitives
-/// staged relies on are no-ops there; the one exception is the temporal
-/// sampler, whose host region is priced per target under kStaged.
-enum class Schedule {
-    /// Each mini-batch's inputs cross PCIe as one pinned async copy fenced
-    /// into the compute stream, results return as one async copy behind a
-    /// compute event, the host never synchronizes per phase, and
-    /// kStagedInFlight mini-batches stay in flight (sim::StagingPipeline).
-    ///  - DTDG (EvolveGCN-O/-H, MolDGNN, ASTGNN): the whole mini-batch;
-    ///    EvolveGCN sends only the changed edges after step 0.
-    ///  - TGAT: the temporal adjacency stays resident on the device and
-    ///    each hop samples as one kernel behind the input fence, so only the
-    ///    targets' ids and times cross in; embeddings return. With a device
-    ///    cache TGAT samples on the host (its gather resolves hits by the
-    ///    sampled ids) and sends the sampled indices and time deltas.
-    ///  - JODIE: the chunk's embedding rows in and out, no host sync between
-    ///    t-batches. With a device cache JODIE keeps eager issue, because
-    ///    its gathers write evictions back synchronously.
-    ///  - TGN: only the sampler changes (per-target parallel host region);
-    ///    its host message build reads the memory rows the previous batch
-    ///    returned, so its batches stay eager.
-    ///  - DyRep, LDG: eager issue.
-    kStaged,
-    /// The paper's profiled eager-PyTorch path: blocking pageable copies
-    /// as the reference code issues them, a device synchronization after
-    /// every phase, and single-threaded temporal sampling. Paper figures pin
-    /// this schedule.
-    kEager,
-};
-
-/// Mini-batches the staged schedule keeps in flight (double buffering).
-constexpr int64_t kStagedInFlight = 2;
+/// How a model issues its mini-batches (sim::Schedule, DESIGN.md §14).
+using sim::Schedule;
 
 /// Per-run execution configuration shared by every model.
 struct RunConfig {
@@ -92,8 +61,27 @@ struct RunConfig {
     /// default — reproduces the historical unfused launch sequence
     /// bit-for-bit.
     bool fuse_kernels = false;
-    /// Mini-batch schedule (see Schedule). Cost-shape only: the host
-    /// numerics, and so the checksums, are identical under both.
+    /// Mini-batch schedule (sim::Schedule). Cost-shape only: the host
+    /// numerics, and so the checksums, are identical under both. What
+    /// kStaged moves per model:
+    ///  - DTDG (EvolveGCN-O/-H, MolDGNN, ASTGNN): the whole mini-batch as
+    ///    one copy each way; EvolveGCN sends only the changed edges after
+    ///    step 0.
+    ///  - TGAT: the temporal adjacency stays resident on the device and
+    ///    each hop samples as one kernel behind the input fence, so only the
+    ///    targets' ids and times cross in; embeddings return. With a device
+    ///    cache TGAT samples on the host (its gather resolves hits by the
+    ///    sampled ids) and sends the sampled indices and time deltas.
+    ///  - JODIE: the chunk's embedding rows in and out, no host sync between
+    ///    t-batches. With a device cache JODIE keeps eager issue, because
+    ///    its gathers write evictions back synchronously.
+    ///  - TGN: only the sampler changes (per-target parallel host region);
+    ///    its host message build reads the memory rows the previous batch
+    ///    returned, so its batches stay eager.
+    ///  - DyRep, LDG: eager issue.
+    /// CPU-only runs issue the same host timeline under both, except the
+    /// temporal sampler, whose host region is priced per target under
+    /// kStaged.
     Schedule schedule = Schedule::kStaged;
 };
 
@@ -177,14 +165,8 @@ constexpr sim::SimTime kFrameworkBatchOverheadUs = 250.0;
 /// Charges the per-batch framework overhead to the current category.
 void ChargeBatchOverhead(sim::Runtime& runtime);
 
-/// The eager schedule's per-phase barrier: blocks the host until the
-/// device drains (the cudaDeviceSynchronize the paper profiles). No-op
-/// under the staged schedule, where only a batch's done-event orders the
-/// host.
-void PhaseBarrier(sim::Runtime& runtime, const RunConfig& run);
-
-/// Admits the staged schedule's next batch (StagingPipeline::Admit),
-/// charging its throttle wait to the model's @p wait_phase.
+/// Admits the next mini-batch (StagingPipeline::Admit), charging a staged
+/// throttle wait to the model's @p wait_phase.
 const sim::SlotResources& AdmitBatch(sim::StagingPipeline& staging,
                                      core::Profiler& profiler,
                                      const std::string& wait_phase);

@@ -86,7 +86,8 @@ EvolveGcn::LayerWeight(int64_t layer) const
 
 void
 EvolveGcn::EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
-                         const RunConfig& run, const Tensor& node_embeddings)
+                         sim::StagingPipeline& staging,
+                         const Tensor& node_embeddings)
 {
     sim::Runtime& runtime = exec.GetRuntime();
     for (size_t l = 0; l < weights_.size(); ++l) {
@@ -157,7 +158,7 @@ EvolveGcn::EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
             // stream already enforces the data dependency; the eager
             // schedule additionally stalls the host here, while the staged
             // one (Fig 10) lets the host run ahead.
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
     }
 }
@@ -205,14 +206,11 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             ? std::min<int64_t>(run.max_events, dataset_.sequence.NumSteps())
             : dataset_.sequence.NumSteps();
     Checksum checksum;
-    const bool staged = run.schedule == Schedule::kStaged;
-    sim::StagingPipeline staging(runtime, kStagedInFlight);
-    const sim::SlotResources eager_slot(0);
+    sim::StagingPipeline staging(runtime, run.schedule);
 
     for (int64_t t = 0; t < steps; ++t) {
         const graph::GraphSnapshot& snap = dataset_.sequence.Step(t);
-        const sim::SlotResources& slot =
-            staged ? AdmitBatch(staging, profiler, "Memory Copy") : eager_slot;
+        const sim::SlotResources& slot = AdmitBatch(staging, profiler, "Memory Copy");
 
         // --- Memory Copy: the eager schedule reloads the full snapshot
         // every step; the staged one sends only the changed edges.
@@ -227,19 +225,17 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                                         [&] { return slot.HostBuildAccess(); });
                 ChargeBatchOverhead(runtime);
             }
-            if (staged) {
-                staging.StageInputs(DeltaBytes(t), "snapshot_h2d");
-            } else {
-                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
-                runtime.CopyToDevice(snapshot_bytes, "snapshot_h2d");
-            }
+            const int64_t input_bytes = run.schedule == Schedule::kStaged
+                                            ? DeltaBytes(t)
+                                            : snapshot_bytes;
+            staging.StageInputs(input_bytes, "snapshot_h2d");
         }
 
         // The step's kernels; the result copy below declares its own.
         sim::MaybeAccess kernels(runtime, [&] { return slot.KernelAccess(); });
 
         // --- RNN (+ top-k for -H): evolve the GCN weights.
-        EvolveWeights(exec, profiler, run, dataset_.node_features);
+        EvolveWeights(exec, profiler, staging, dataset_.node_features);
 
         // --- GNN: two GCN layers with the evolved weights.
         Tensor h = dataset_.node_features;
@@ -249,19 +245,14 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             for (size_t l = 0; l < gcn_layers_.size(); ++l) {
                 h = exec.GcnWithWeight(*gcn_layers_[l], a_hat, h, weights_[l]);
             }
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
         checksum.Add(h.RowSlice(0, std::min<int64_t>(4, h.Dim(0))));
 
         // --- Memory Copy: step outputs D2H.
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            if (staged) {
-                staging.Retire(h.NumBytes(), "embeddings_d2h", std::move(snap_buf));
-            } else {
-                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
-                runtime.CopyToHost(h.NumBytes(), "embeddings_d2h");
-            }
+            staging.Retire(h.NumBytes(), "embeddings_d2h", std::move(snap_buf));
         }
     }
     DrainBatches(staging, profiler, "Memory Copy");

@@ -61,7 +61,8 @@ class EvolveGcn : public DgnnModel {
   private:
     /// Evolves layer weights for one step (top-k selection first for -H).
     void EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
-                       const RunConfig& run, const Tensor& node_embeddings);
+                       sim::StagingPipeline& staging,
+                       const Tensor& node_embeddings);
 
     /// Staged H2D bytes of step @p t: the whole snapshot plus the node
     /// features at step 0, afterwards only the edges that changed.

@@ -78,16 +78,14 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
     int64_t iterations = 0;
     // Cached runs keep eager issue: their gathers write evictions back
     // synchronously, so there is no single copy each way to stage.
-    const bool staged =
-        run.schedule == Schedule::kStaged && !embedding_cache.Enabled();
-    sim::StagingPipeline staging(runtime, kStagedInFlight);
-    const sim::SlotResources eager_slot(0);
+    sim::StagingPipeline staging(
+        runtime, embedding_cache.Enabled() ? Schedule::kEager : run.schedule);
 
     for (int64_t begin = 0; begin < total_events; begin += bs) {
         const int64_t end = std::min(begin + bs, total_events);
         const int64_t chunk_events = end - begin;
         const sim::SlotResources& slot =
-            staged ? AdmitBatch(staging, profiler, "Update Embedding") : eager_slot;
+            AdmitBatch(staging, profiler, "Update Embedding");
 
         // Unique endpoints of the chunk, in event order (cache keys).
         std::vector<int64_t> chunk_nodes;
@@ -151,13 +149,8 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                     access.reads.push_back(kHostEmbeddings);
                     return access;
                 };
-                if (staged) {
-                    staging.StageInputs(chunk_bytes, "jodie_embeddings_h2d",
-                                        input_access);
-                } else {
-                    sim::MaybeAccess access(runtime, input_access);
-                    runtime.CopyToDevice(chunk_bytes, "jodie_embeddings_h2d");
-                }
+                staging.StageInputs(chunk_bytes, "jodie_embeddings_h2d",
+                                    input_access);
             }
             batch_buf = runtime.AllocDevice(chunk_bytes, "jodie_chunk");
         }
@@ -263,9 +256,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 // The next t-batch depends on these updates. The compute
                 // stream already orders them; the eager schedule also
                 // stalls the host here.
-                if (!staged) {
-                    (void)runtime.Synchronize();
-                }
+                staging.Barrier();
             }
 
             for (int64_t i = 0; i < cap; ++i) {
@@ -285,13 +276,8 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 access.writes.push_back(kHostEmbeddings);
                 return access;
             };
-            if (staged) {
-                staging.Retire(chunk_bytes, "jodie_embeddings_d2h",
-                               std::move(batch_buf), result_access);
-            } else {
-                sim::MaybeAccess access(runtime, result_access);
-                runtime.CopyToHost(chunk_bytes, "jodie_embeddings_d2h");
-            }
+            staging.Retire(chunk_bytes, "jodie_embeddings_d2h",
+                           std::move(batch_buf), result_access);
         }
         ++iterations;
     }

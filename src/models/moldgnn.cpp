@@ -76,15 +76,19 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
-    const bool staged = run.schedule == Schedule::kStaged;
-    sim::StagingPipeline staging(runtime, kStagedInFlight);
-    const sim::SlotResources eager_slot(0);
+    sim::StagingPipeline staging(runtime, run.schedule);
 
     for (int64_t begin = 0; begin < total_frames; begin += bs) {
         const int64_t end = std::min(begin + bs, total_frames);
         const int64_t nf = end - begin;
-        const sim::SlotResources& slot =
-            staged ? AdmitBatch(staging, profiler, "Memory Copy") : eager_slot;
+        const sim::SlotResources& slot = AdmitBatch(staging, profiler, "Memory Copy");
+        // The reference implementation moves every frame's adjacency (plus
+        // its feature view) as an individual pageable copy, and the
+        // per-transfer latency is what makes MolDGNN movement-bound. Staged,
+        // the concatenated buffer (plus one atom-feature view) crosses PCIe
+        // as one pinned copy, and the predictions return as one.
+        const int64_t copies = run.schedule == Schedule::kEager ? nf : 1;
+        const int64_t frames_per_copy = nf / copies;
 
         // --- Memory Copy: concatenate + H2D all adjacency matrices.
         sim::DeviceBuffer batch_buf =
@@ -102,24 +106,9 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 concat.parallel_items = 1;
                 runtime.RunHost(concat);
             }
-            if (staged) {
-                // The concatenated buffer (plus one atom-feature view)
-                // crosses PCIe as one pinned copy.
-                staging.StageInputs(
-                    nf * frame_bytes + dataset_.atom_features.NumBytes(),
-                    "adjacency_h2d");
-            } else {
-                // The reference implementation moves every frame's
-                // adjacency (plus its feature view) as an individual
-                // pageable copy; the per-transfer latency is what makes
-                // MolDGNN movement-bound.
-                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
-                for (int64_t f = 0; f < nf; ++f) {
-                    runtime.CopyToDevice(frame_bytes +
-                                             dataset_.atom_features.NumBytes(),
-                                         "adjacency_h2d");
-                }
-            }
+            staging.StageInputs(
+                frames_per_copy * frame_bytes + dataset_.atom_features.NumBytes(),
+                "adjacency_h2d", [&] { return slot.InputAccess(); }, copies);
         }
 
         const int64_t cap =
@@ -145,7 +134,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             gcn.parallel_items = nf * atoms * config_.gcn_dim;
             gcn.irregular = true;
             runtime.Launch(gcn);
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
 
         // --- LSTM: one fused (cuDNN-style) kernel per batch; the sequence
@@ -165,7 +154,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                         lstm_->ParameterBytes();
             seq.parallel_items = config_.lstm_dim;
             runtime.Launch(seq);
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
 
         // --- FFN: predict the next adjacency matrix.
@@ -180,21 +169,15 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                         ffn_->ParameterBytes();
             ffn.parallel_items = nf * atoms * atoms;
             runtime.Launch(ffn);
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
 
         // --- Memory Copy: predicted (symmetric) matrices D2H (Fig 5c).
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            if (staged) {
-                staging.Retire(nf * frame_bytes, "predictions_d2h",
-                               std::move(batch_buf));
-            } else {
-                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
-                for (int64_t f = 0; f < nf; ++f) {
-                    runtime.CopyToHost(frame_bytes, "predictions_d2h");
-                }
-            }
+            staging.Retire(frames_per_copy * frame_bytes, "predictions_d2h",
+                           std::move(batch_buf), [&] { return slot.ResultAccess(); },
+                           copies);
         }
         ++iterations;
     }

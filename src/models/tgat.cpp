@@ -166,9 +166,8 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
     // Staged hybrid runs keep the temporal adjacency (entries plus CSR
     // offsets) resident too and sample on the device. A cached run samples
     // on the host: its gather resolves hits by the sampled ids.
-    const bool staged = run.schedule == Schedule::kStaged;
-    const bool device_sampling =
-        staged && runtime.HasGpu() && !feature_cache.Enabled();
+    const bool device_sampling = run.schedule == Schedule::kStaged &&
+                                 runtime.HasGpu() && !feature_cache.Enabled();
     sim::DeviceBuffer resident_adjacency;
     if (device_sampling) {
         const int64_t adjacency_bytes =
@@ -189,15 +188,13 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
     const int64_t d = config_.embed_dim;
     Checksum checksum;
     int64_t iterations = 0;
-    sim::StagingPipeline staging(runtime, kStagedInFlight);
-    const sim::SlotResources eager_slot(0);
+    sim::StagingPipeline staging(runtime, run.schedule);
 
     for (int64_t begin = 0; begin < total_events; begin += bs) {
         const int64_t end = std::min(begin + bs, total_events);
         const auto batch = dataset_.stream.Slice(begin, end);
         const sim::SlotResources& slot =
-            staged ? AdmitBatch(staging, profiler, "Cuda Synchronization")
-                   : eager_slot;
+            AdmitBatch(staging, profiler, "Cuda Synchronization");
 
         // Targets: both endpoints of every event, processed at event time.
         std::vector<int64_t> nodes;
@@ -270,12 +267,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             gathered_nodes * d * 4 * 2, "tgat_batch");
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            if (staged) {
-                staging.StageInputs(input_bytes, "tgat_batch_h2d");
-            } else {
-                sim::MaybeAccess access(runtime, [&] { return slot.InputAccess(); });
-                runtime.CopyToDevice(input_bytes, "tgat_batch_h2d");
-            }
+            staging.StageInputs(input_bytes, "tgat_batch_h2d");
             if (feature_cache.Enabled()) {
                 // Feature rows of every touched node (targets + every
                 // sampled hop, deduplicated) come through the cache.
@@ -333,7 +325,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             if (!run.fuse_kernels) {
                 runtime.Launch(tenc);
             }
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
 
         // --- Attention Layer: projection + attention + merge, batched.
@@ -387,14 +379,14 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                     runtime.Launch(sim::Collapse(MakeRegisteredChain(
                         "tgat_attention_fused", {attn, merge},
                         {q_rows * d * 4})));
-                    PhaseBarrier(runtime, run);
+                    staging.Barrier();
                 } else {
                     runtime.Launch(attn);
 
                     // Attention execution is attributed to this module scope
                     // (PyTorch-profiler convention); the merge FFN drains
                     // later in the explicit synchronization phase.
-                    PhaseBarrier(runtime, run);
+                    staging.Barrier();
                     runtime.Launch(merge);
                 }
             }
@@ -418,17 +410,11 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // return behind this batch's compute event.
         {
             core::ProfileScope scope(profiler, "Cuda Synchronization");
-            PhaseBarrier(runtime, run);
+            staging.Barrier();
         }
         {
             core::ProfileScope scope(profiler, "Memory Copy");
-            if (staged) {
-                staging.Retire(n * d * 4, "tgat_embeddings_d2h",
-                               std::move(activations));
-            } else {
-                sim::MaybeAccess access(runtime, [&] { return slot.ResultAccess(); });
-                runtime.CopyToHost(n * d * 4, "tgat_embeddings_d2h");
-            }
+            staging.Retire(n * d * 4, "tgat_embeddings_d2h", std::move(activations));
         }
         ++iterations;
     }

@@ -1,28 +1,27 @@
 #pragma once
 
-/// @file
-/// Batch executors: how a dispatched batch's cost profile is issued to the
-/// runtime.
+/// The batch executor: how a dispatched batch's cost profile is issued to
+/// the runtime. It issues through sim::StagingPipeline, the protocol the
+/// models' offline loops share, under one of two schedules:
 ///
-///   * SerialExecutor     — eager-mode semantics, exactly what the offline
-///                          models do: host build, blocking H2D, kernels,
-///                          synchronize, blocking D2H. One batch owns the
-///                          whole machine at a time.
-///   * PipelinedExecutor  — the serving optimization the paper's bottleneck
-///                          analysis motivates: host build for batch k+1
-///                          overlaps device compute for batch k. Inputs move
-///                          via async pinned copies on the copy stream; the
-///                          compute stream waits on the copy event; results
-///                          return via an async D2H behind a compute event.
-///                          A depth bound (default 2 = double buffering)
-///                          throttles the host when it runs too far ahead.
-///                          The protocol is sim::StagingPipeline, which the
-///                          models' staged offline schedule shares.
+///   * kEager ("serial")     — what the offline models do under the paper's
+///                             eager path: host build, blocking H2D,
+///                             kernels, synchronize, blocking D2H. One
+///                             batch owns the whole machine at a time.
+///   * kStaged ("pipelined") — the serving optimization the paper's
+///                             bottleneck analysis motivates: host build for
+///                             batch k+1 overlaps device compute for batch
+///                             k. Inputs move via async pinned copies on the
+///                             copy stream; the compute stream waits on the
+///                             copy event; results return via an async D2H
+///                             behind a compute event. Two batches stay in
+///                             flight (double buffering).
 ///
-/// Submit returns the batch's absolute completion time, which for the
-/// pipelined executor generally lies beyond the host clock.
+/// Submit returns the batch's absolute completion time, which under
+/// kStaged generally lies beyond the host clock.
 
 #include <cstdint>
+#include <string>
 
 #include "cache/device_cache.hpp"
 #include "serve/model_session.hpp"
@@ -55,21 +54,21 @@ struct CacheBatchCost {
 };
 
 /// Stage-boundary timestamps of one submitted batch, filled by the
-/// executors for the observability layer (src/obs/). The six boundaries are
+/// executor for the observability layer (src/obs/). The six boundaries are
 /// monotone non-decreasing and complete_us equals the completion time
 /// Submit returns, so the consecutive differences partition the batch's
 /// in-executor latency exactly:
 ///
-///   dispatch -> stall    pipeline-depth throttle wait (0 for serial)
+///   dispatch -> stall    in-flight throttle wait (0 under kEager)
 ///   stall    -> host     host-side batch build (+ async submit overheads)
 ///   host     -> h2d      input H2D landed on the device
 ///   h2d      -> compute  device kernels (incl. the cache hit-gather) done
 ///   compute  -> complete results (+ dirty write-backs) back on the host
 ///
-/// For the pipelined executor the device-side boundaries are event
-/// completion times clamped into [host_done, complete]: a batch's H2D may
-/// queue behind the previous batch's D2H on the copy stream, and that wait
-/// is attributed to the H2D stage.
+/// Under kStaged the device-side boundaries are event completion times
+/// clamped into [host_done, complete]: a batch's H2D may queue behind the
+/// previous batch's D2H on the copy stream, and that wait is attributed to
+/// the H2D stage.
 struct BatchSpans {
     sim::SimTime dispatch_us = 0.0;
     sim::SimTime stall_done_us = 0.0;
@@ -79,13 +78,14 @@ struct BatchSpans {
     sim::SimTime complete_us = 0.0;
 };
 
-/// Issues batches to the simulated runtime.
-class BatchExecutor {
+/// Issues batches to the simulated runtime under one schedule.
+class Executor {
   public:
-    explicit BatchExecutor(sim::Runtime& runtime) : runtime_(runtime) {}
-    virtual ~BatchExecutor() = default;
+    explicit Executor(sim::Runtime& runtime,
+                      sim::Schedule schedule = sim::Schedule::kStaged);
 
-    virtual std::string Name() const = 0;
+    /// "serial" (kEager) or "pipelined" (kStaged).
+    std::string Name() const;
 
     /// Issues one batch; returns its absolute completion time (when its
     /// results are back on the host). @p cache_cost carries the batch's
@@ -94,49 +94,19 @@ class BatchExecutor {
     /// the executor records the batch's stage boundaries into it; the
     /// capture only reads the clock, so passing nullptr vs a target is
     /// simulation-identical.
-    virtual sim::SimTime Submit(const BatchProfile& profile,
-                                const CacheBatchCost& cache_cost,
-                                BatchSpans* spans = nullptr) = 0;
+    sim::SimTime Submit(const BatchProfile& profile, const CacheBatchCost& cache_cost,
+                        BatchSpans* spans = nullptr);
 
     /// Blocks the host until every in-flight batch completes.
-    virtual sim::SimTime Drain();
-
-    sim::Runtime& GetRuntime() { return runtime_; }
-
-  protected:
-    sim::Runtime& runtime_;
-};
-
-/// Eager-mode executor: every stage blocks the host.
-class SerialExecutor : public BatchExecutor {
-  public:
-    using BatchExecutor::BatchExecutor;
-
-    std::string Name() const override { return "serial"; }
-    sim::SimTime Submit(const BatchProfile& profile,
-                        const CacheBatchCost& cache_cost,
-                        BatchSpans* spans = nullptr) override;
-};
-
-/// Multi-stream pipelined executor with bounded in-flight depth.
-class PipelinedExecutor : public BatchExecutor {
-  public:
-    /// @param max_in_flight batches allowed in flight before the host
-    ///                      blocks (2 = classic double buffering)
-    explicit PipelinedExecutor(sim::Runtime& runtime, int64_t max_in_flight = 2);
-
-    std::string Name() const override { return "pipelined"; }
-    sim::SimTime Submit(const BatchProfile& profile,
-                        const CacheBatchCost& cache_cost,
-                        BatchSpans* spans = nullptr) override;
-    sim::SimTime Drain() override;
-
-    int64_t InFlight() const { return staging_.InFlight(); }
+    sim::SimTime Drain();
 
   private:
-    /// The depth-bounded in-flight protocol (sim/staging.hpp) shared with
-    /// the models' staged offline schedule.
+    sim::Runtime& runtime_;
+    sim::Schedule schedule_;
     sim::StagingPipeline staging_;
 };
+
+/// The name perfbench/ builds the staged executor by.
+using PipelinedExecutor = Executor;
 
 }  // namespace dgnn::serve

@@ -18,20 +18,6 @@ ToString(ExecutorKind kind)
     return "?";
 }
 
-namespace {
-
-std::unique_ptr<BatchExecutor>
-MakeExecutor(sim::Runtime& runtime, const ServerOptions& options)
-{
-    if (options.executor == ExecutorKind::kPipelined) {
-        return std::make_unique<PipelinedExecutor>(runtime,
-                                                   options.pipeline_depth);
-    }
-    return std::make_unique<SerialExecutor>(runtime);
-}
-
-}  // namespace
-
 ServingReport
 Serve(ModelSession& session, BatchPolicy& policy,
       const std::vector<sim::SimTime>& arrivals, const ServerOptions& options)
@@ -52,18 +38,10 @@ Serve(ModelSession& session, BatchPolicy& policy, const ArrivalSource& source,
     return ServeRequests(session, policy, source.Generate(n), options);
 }
 
-void
-ValidateServerOptions(const ServerOptions& options)
-{
-    DGNN_CHECK(options.pipeline_depth >= 1, "pipeline_depth must be >= 1, got ",
-               options.pipeline_depth);
-}
-
 ServingReport
 ServeRequests(ModelSession& session, BatchPolicy& policy,
               const std::vector<Request>& requests, const ServerOptions& options)
 {
-    ValidateServerOptions(options);
     DGNN_CHECK(std::is_sorted(requests.begin(), requests.end(),
                               [](const Request& a, const Request& b) {
                                   return a.arrival_us < b.arrival_us;
@@ -78,7 +56,9 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
     sim::Runtime runtime{std::move(runtime_config)};
     runtime.SetObserver(options.runtime_observer);
     const cache::CacheStats cache_stats_before = session.Cache().Stats();
-    std::unique_ptr<BatchExecutor> executor = MakeExecutor(runtime, options);
+    Executor executor(runtime, options.executor == ExecutorKind::kSerial
+                                   ? sim::Schedule::kEager
+                                   : sim::Schedule::kStaged);
 
     if (options.warm_start) {
         // Context/model init happen before the serving window opens; model
@@ -94,7 +74,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
         ctx.model = session.ModelName();
         ctx.mode = sim::ToString(session.Mode());
         ctx.policy = policy.Name();
-        ctx.executor = executor->Name();
+        ctx.executor = executor.Name();
         ctx.runtime = &runtime;
         ctx.cache = &session.Cache();
         ctx.window_start_us = window_start;
@@ -105,7 +85,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
     report.model = session.ModelName();
     report.mode = sim::ToString(session.Mode());
     report.policy = policy.Name();
-    report.executor = executor->Name();
+    report.executor = executor.Name();
     report.requests = static_cast<int64_t>(requests.size());
     if (!requests.empty() &&
         requests.back().arrival_us > requests.front().arrival_us) {
@@ -232,7 +212,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             }
 
             BatchSpans spans;
-            const sim::SimTime completion = executor->Submit(
+            const sim::SimTime completion = executor.Submit(
                 profile, cache_cost, observer != nullptr ? &spans : nullptr);
             last_completion = std::max(last_completion, completion);
             BatchObservation ob;
@@ -279,7 +259,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
         DGNN_CHECK(runtime.Now() > now, "serving loop failed to advance");
     }
 
-    executor->Drain();
+    executor.Drain();
     // End-of-run sync of the host-side store, like the offline models'
     // flush: every dirty row still resident pays its write-back exactly
     // once (DESIGN.md §8 — on eviction or here). The rows stay resident,

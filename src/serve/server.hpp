@@ -2,8 +2,8 @@
 
 /// @file
 /// The online-serving simulator: an open-loop arrival stream feeds a
-/// request queue; a BatchPolicy turns the queue into batches; a
-/// BatchExecutor issues each batch's captured cost profile to a fresh
+/// request queue; a BatchPolicy turns the queue into batches; an
+/// Executor issues each batch's captured cost profile to a fresh
 /// simulated runtime. The loop is a discrete-event simulation on the
 /// runtime's host clock — when there is nothing to dispatch the host idles
 /// to the next arrival or policy wake-up. Produces a ServingReport with the
@@ -29,7 +29,8 @@
 
 namespace dgnn::serve {
 
-/// Which executor the server builds over its runtime.
+/// Which schedule the server's executor issues batches under: kSerial is
+/// sim::Schedule::kEager, kPipelined is kStaged.
 enum class ExecutorKind {
     kSerial,
     kPipelined,
@@ -40,8 +41,6 @@ const char* ToString(ExecutorKind kind);
 /// Server knobs independent of policy and load.
 struct ServerOptions {
     ExecutorKind executor = ExecutorKind::kPipelined;
-    /// In-flight depth bound for the pipelined executor.
-    int64_t pipeline_depth = 2;
     /// Pay the one-time device warm-up before the serving window opens.
     bool warm_start = true;
     /// Optional passive observer (src/obs/). Null — the default — disables
@@ -65,10 +64,6 @@ struct ServerOptions {
     /// seam entirely. Borrowed; must outlive the run.
     BatchShardHook* shard_hook = nullptr;
 };
-
-/// Rejects server options no run can honour (pipeline_depth < 1) with a
-/// dgnn::Error naming the field. Every serving entry point calls this.
-void ValidateServerOptions(const ServerOptions& options);
 
 /// Everything one serving run produces.
 struct ServingReport {

@@ -61,7 +61,6 @@ ValidateShardedOptions(const ShardedOptions& options)
     DGNN_CHECK(options.cache_config.capacity_bytes >= 0,
                "cache_config.capacity_bytes must be >= 0, got ",
                options.cache_config.capacity_bytes);
-    serve::ValidateServerOptions(options.server);
 }
 
 ShardedReport

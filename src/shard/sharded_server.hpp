@@ -89,8 +89,8 @@ struct ShardedReport {
 };
 
 /// Rejects sharded options no run can honour with a dgnn::Error naming the
-/// field: num_shards < 1, an unpriceable interconnect, num_neighbors < 0, a
-/// negative cache capacity, or invalid per-shard server options.
+/// field: num_shards < 1, an unpriceable interconnect, num_neighbors < 0 or
+/// a negative cache capacity.
 void ValidateShardedOptions(const ShardedOptions& options);
 
 /// Routes @p requests (relative arrival timestamps, sorted) across

@@ -1,27 +1,32 @@
 #pragma once
 
 /// @file
-/// Depth-bounded in-flight staging: the pipelining protocol of the paper's
-/// Fig 10, shared by serve::PipelinedExecutor and the models' staged
-/// offline schedule (models::Schedule::kStaged). One batch runs
+/// The one batch-issue protocol, shared by the serving executor
+/// (serve::PipelinedExecutor) and the models' offline mini-batch loops. A
+/// pipeline is built for one Schedule and issues the matching ops; the
+/// caller writes one sequence for both (DESIGN.md §14):
 ///
-///   Admit()        throttle: with `depth` batches outstanding the host
-///                  blocks on the oldest one's done-event, then frees the
-///                  buffers it held; returns the batch's staging slot
-///                  (batch k stages through slot k % depth)
+///   call           kStaged (the paper's Fig 10)    kEager (profiled path)
+///   Admit()        with 2 batches in flight, wait  slot 0, never waits
+///                  the oldest one's done-event and
+///                  free its buffer; batch k gets
+///                  slot k % 2
 ///   (host work)    the caller's batch build
-///   StageInputs()  one pinned async H2D on the copy stream, fenced into
-///                  the compute stream
-///   (kernels)      the caller's launches, queued behind the fence
-///   Retire()       records the compute event, returns the results with one
-///                  async D2H behind it, and keeps the batch in flight
-///   Drain()        waits every in-flight batch
+///   StageInputs()  pinned async H2D on the copy    blocking H2D
+///                  stream, fenced into the compute
+///                  stream
+///   (kernels)      the caller's launches
+///   Barrier()      nothing                         Synchronize()
+///   Retire()       record the compute event, async blocking D2H, then free
+///                  D2H behind it, keep the batch   the batch's buffer
+///                  (and its buffer) in flight
+///   Drain()        wait every in-flight batch      nothing
 ///
-/// Buffer rule: a batch's device buffer lives until the host has waited its
-/// done-event (in Admit's throttle or in Drain), because the device may read
-/// it until then. On a CPU-only runtime the async primitives are no-ops and
-/// the batch has already completed when Retire returns, so the buffer is
-/// freed there.
+/// Buffer rule (kStaged): a batch's device buffer lives until the host has
+/// waited its done-event (in Admit's throttle or in Drain), because the
+/// device may read it until then. On a CPU-only runtime the async
+/// primitives are no-ops and the batch has already completed when Retire
+/// returns, so the buffer is freed there.
 ///
 /// Hazard annotations: the stages declare the slot's staging resources
 /// (SlotResources) through AccessScope only when an observer is attached
@@ -36,6 +41,19 @@
 #include "sim/runtime.hpp"
 
 namespace dgnn::sim {
+
+/// How batches are issued. CPU-only runs issue the same host timeline under
+/// both, because the async primitives kStaged relies on are no-ops there.
+enum class Schedule {
+    /// Each batch's inputs cross PCIe as one pinned async copy fenced into
+    /// the compute stream, results return as one async copy behind a
+    /// compute event, the host never synchronizes per phase, and two
+    /// batches stay in flight (double buffering).
+    kStaged,
+    /// The paper's profiled eager-PyTorch path: blocking pageable copies,
+    /// a device synchronization at every Barrier(), one batch at a time.
+    kEager,
+};
 
 /// The four staging buffers a batch flows through, as hazard-checker
 /// resources (DESIGN.md §11). Names carry the slot after '#'.
@@ -60,55 +78,62 @@ struct SlotResources {
 /// See the file comment.
 class StagingPipeline {
   public:
-    /// @param depth batches allowed in flight before Admit blocks
-    ///              (2 = double buffering)
-    StagingPipeline(Runtime& runtime, int64_t depth);
+    StagingPipeline(Runtime& runtime, Schedule schedule);
 
-    /// Device-side completion of one retired batch.
+    /// Completion of one retired batch.
     struct Retired {
-        Event compute_done;  ///< the batch's kernels finished
-        Event done;          ///< results on the host (== compute_done
-                             ///< when nothing was copied back)
+        /// The batch's kernels finished. kEager: the host clock when Retire
+        /// was entered, which a preceding Barrier() makes exact.
+        SimTime compute_done_us = 0.0;
+        /// Results on the host (== compute_done_us when nothing was
+        /// copied back).
+        SimTime done_us = 0.0;
     };
 
-    /// Throttles, then returns the next batch's slot. The reference stays
-    /// valid until the next Admit.
+    /// Throttles (kStaged), then returns the next batch's slot. The
+    /// reference stays valid until the next Admit.
     const SlotResources& Admit();
 
-    /// Moves @p bytes H2D as one pinned async copy and fences the compute
-    /// stream on it. Returns the inputs-ready time; with @p bytes == 0
-    /// nothing is issued and Now() is returned. @p footprint builds the
-    /// copy's AccessSet (only called when an observer is attached).
+    /// Moves @p copies copies of @p bytes each H2D and, under kStaged,
+    /// fences the compute stream on them. Returns the inputs-ready time;
+    /// with @p bytes == 0 nothing is issued and Now() is returned.
+    /// @p footprint builds the copies' AccessSet (only called when an
+    /// observer is attached).
     template <typename FootprintFn>
     SimTime StageInputs(int64_t bytes, const std::string& what,
-                        FootprintFn&& footprint)
+                        FootprintFn&& footprint, int64_t copies = 1)
     {
         if (bytes <= 0) {
             return runtime_.Now();
         }
         MaybeAccess access(runtime_, std::forward<FootprintFn>(footprint));
-        return FenceInputs(bytes, what);
+        return IssueInputs(bytes, what, copies);
     }
     SimTime StageInputs(int64_t bytes, const std::string& what)
     {
         return StageInputs(bytes, what, [this] { return slot_.InputAccess(); });
     }
 
-    /// Records the batch's compute event, copies @p bytes D2H behind it
-    /// (skipped when 0) and keeps the batch in flight, holding @p held,
-    /// until its done-event is waited.
+    /// The eager schedule's per-phase barrier: blocks the host until the
+    /// device drains (the cudaDeviceSynchronize the paper profiles). No-op
+    /// under kStaged, where only a batch's done-event orders the host.
+    void Barrier();
+
+    /// Ends the batch: copies @p copies copies of @p bytes each D2H behind
+    /// its kernels (none when @p bytes is 0) and releases @p held once the
+    /// device can no longer read it (see the buffer rule).
     template <typename FootprintFn>
     Retired Retire(int64_t bytes, const std::string& what, DeviceBuffer held,
-                   FootprintFn&& footprint)
+                   FootprintFn&& footprint, int64_t copies = 1)
     {
-        const Event compute_done = runtime_.RecordEvent(StreamId::kCompute);
+        const Event compute_done = MarkComputeDone();
         Event done = compute_done;
         if (bytes > 0) {
             MaybeAccess access(runtime_, std::forward<FootprintFn>(footprint));
-            done = ReturnResults(compute_done, bytes, what);
+            done = ReturnResults(compute_done, bytes, what, copies);
         }
         Track(done, std::move(held));
-        return {compute_done, done};
+        return {compute_done.ready_us, done.ready_us};
     }
     Retired Retire(int64_t bytes, const std::string& what, DeviceBuffer held)
     {
@@ -120,23 +145,27 @@ class StagingPipeline {
     /// their buffers.
     void Drain();
 
-    int64_t InFlight() const { return static_cast<int64_t>(in_flight_.size()); }
-
   private:
+    /// Batches kStaged keeps in flight before Admit blocks.
+    static constexpr int64_t kDepth = 2;
+
     struct InFlightBatch {
         Event done;
         DeviceBuffer held;
     };
 
-    SimTime FenceInputs(int64_t bytes, const std::string& what);
+    bool Staged() const { return schedule_ == Schedule::kStaged; }
+    SimTime IssueInputs(int64_t bytes, const std::string& what, int64_t copies);
+    /// kStaged records the compute event; kEager reads the host clock.
+    Event MarkComputeDone();
     Event ReturnResults(const Event& compute_done, int64_t bytes,
-                        const std::string& what);
+                        const std::string& what, int64_t copies);
     void Track(const Event& done, DeviceBuffer held);
     /// Waits the oldest in-flight batch, then frees its buffer.
     void WaitOldest();
 
     Runtime& runtime_;
-    int64_t depth_;
+    Schedule schedule_;
     int64_t admitted_ = 0;
     SlotResources slot_;
     std::deque<InFlightBatch> in_flight_;

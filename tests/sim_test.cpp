@@ -1,13 +1,19 @@
 // Tests for the hardware-simulator substrate: cost model, streams, PCIe,
-// device memory, warm-up.
+// device memory, warm-up, and the batch-issue protocol's two schedules.
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "sim/device.hpp"
 #include "support/check.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/kernel.hpp"
 #include "sim/pcie.hpp"
+#include "sim/runtime.hpp"
+#include "sim/runtime_observer.hpp"
+#include "sim/staging.hpp"
 #include "sim/stream.hpp"
 #include "sim/warmup.hpp"
 
@@ -242,6 +248,220 @@ TEST_P(CostMonotonicity, MoreWorkNeverFaster)
 
 INSTANTIATE_TEST_SUITE_P(Scales, CostMonotonicity,
                          ::testing::Values(1000, 100000, 10000000, 1000000000));
+
+/// Logs every runtime action in issue order: copies and kernels by kind,
+/// blocking or async, and every synchronization edge.
+class IssueLog : public RuntimeObserver {
+  public:
+    void OnOp(const OpRecord& op) override
+    {
+        std::string entry = std::string(ToString(op.kind)) + ":" + *op.name;
+        if (!op.blocking) {
+            entry += ":async";
+        }
+        entries.push_back(entry);
+    }
+    void OnEventRecorded(const Event&, StreamId stream) override
+    {
+        entries.push_back(std::string("record:") + ToString(stream));
+    }
+    void OnStreamWaitEvent(StreamId stream, const Event&) override
+    {
+        entries.push_back(std::string("stream_wait:") + ToString(stream));
+    }
+    void OnHostWaitEvent(const Event&) override { entries.push_back("host_wait"); }
+    void OnSynchronize() override { entries.push_back("synchronize"); }
+
+    std::vector<std::string> entries;
+};
+
+constexpr int64_t kBatchBytes = 1 << 20;
+
+/// A kernel long enough (~1 ms on the A6000 model) that the device is
+/// still busy when the host returns from issuing it.
+KernelDesc LongKernel()
+{
+    return KernelDesc{"batch_kernel", 10'000'000'000, 1 << 20, 1 << 20, false};
+}
+
+RuntimeConfig Config(ExecMode mode)
+{
+    RuntimeConfig config;
+    config.mode = mode;
+    return config;
+}
+
+/// One batch through the pipeline: admit, build, inputs, kernel, barrier,
+/// retire holding a device buffer. Returns the batch's completion.
+StagingPipeline::Retired
+RunBatch(Runtime& runtime, StagingPipeline& staging)
+{
+    (void)staging.Admit();
+    runtime.RunHostFor("batch_build", 5.0);
+    (void)staging.StageInputs(kBatchBytes, "inputs_h2d");
+    runtime.Launch(LongKernel());
+    staging.Barrier();
+    return staging.Retire(kBatchBytes, "results_d2h",
+                          runtime.AllocDevice(kBatchBytes, "batch"));
+}
+
+TEST(StagingPipelineTest, EagerAdmitAlwaysReturnsSlotZeroWithoutWaiting)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    StagingPipeline staging(runtime, Schedule::kEager);
+    for (int batch = 0; batch < 3; ++batch) {
+        const SimTime before = runtime.Now();
+        EXPECT_EQ(staging.Admit().dev_in, "dev_in#0");
+        EXPECT_EQ(runtime.Now(), before);
+        (void)RunBatch(runtime, staging);
+    }
+}
+
+TEST(StagingPipelineTest, EagerStageInputsLeavesTheHostAtTheCopysEnd)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    IssueLog log;
+    runtime.SetObserver(&log);
+    StagingPipeline staging(runtime, Schedule::kEager);
+    (void)staging.Admit();
+    const SimTime ready = staging.StageInputs(kBatchBytes, "inputs_h2d", [] {
+        return AccessSet{};
+    }, 3);
+    EXPECT_EQ(ready, runtime.Now());
+    EXPECT_EQ(runtime.GetTrace().Events().back().end_us, runtime.Now());
+    EXPECT_EQ(log.entries,
+              (std::vector<std::string>{"copy_h2d:inputs_h2d", "copy_h2d:inputs_h2d",
+                                        "copy_h2d:inputs_h2d"}));
+    EXPECT_EQ(runtime.BytesToDevice(), 3 * kBatchBytes);
+}
+
+TEST(StagingPipelineTest, EagerBarrierSynchronizes)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    IssueLog log;
+    runtime.SetObserver(&log);
+    StagingPipeline staging(runtime, Schedule::kEager);
+    runtime.Launch(LongKernel());
+    ASSERT_GT(runtime.StreamReadyTime(StreamId::kCompute), runtime.Now());
+    staging.Barrier();
+    EXPECT_EQ(runtime.Now(), runtime.StreamReadyTime(StreamId::kCompute));
+    EXPECT_EQ(log.entries.back(), "synchronize");
+}
+
+TEST(StagingPipelineTest, EagerRetireCopiesBackAndFreesTheBufferBeforeReturning)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    IssueLog log;
+    runtime.SetObserver(&log);
+    StagingPipeline staging(runtime, Schedule::kEager);
+    const MemoryPool& memory = runtime.Gpu().Memory();
+    const int64_t live_before = memory.LiveBytes();
+    DeviceBuffer held = runtime.AllocDevice(kBatchBytes, "batch");
+    EXPECT_EQ(memory.LiveBytes(), live_before + kBatchBytes);
+    const SimTime entered = runtime.Now();
+    const StagingPipeline::Retired batch =
+        staging.Retire(kBatchBytes, "results_d2h", std::move(held));
+    EXPECT_EQ(memory.LiveBytes(), live_before);
+    EXPECT_EQ(batch.compute_done_us, entered);
+    EXPECT_EQ(batch.done_us, runtime.Now());
+    EXPECT_EQ(log.entries, std::vector<std::string>{"copy_d2h:results_d2h"});
+}
+
+TEST(StagingPipelineTest, EagerDrainIssuesNothing)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    IssueLog log;
+    runtime.SetObserver(&log);
+    StagingPipeline staging(runtime, Schedule::kEager);
+    (void)RunBatch(runtime, staging);
+    const size_t issued = log.entries.size();
+    const SimTime before = runtime.Now();
+    staging.Drain();
+    EXPECT_EQ(log.entries.size(), issued);
+    EXPECT_EQ(runtime.Now(), before);
+    // The whole batch issued blocking copies and one synchronization only.
+    EXPECT_EQ(log.entries,
+              (std::vector<std::string>{"host_op:batch_build", "copy_h2d:inputs_h2d",
+                                        "kernel:batch_kernel:async", "synchronize",
+                                        "copy_d2h:results_d2h"}));
+}
+
+TEST(StagingPipelineTest, StagedSlotsRotateModuloTwo)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    StagingPipeline staging(runtime, Schedule::kStaged);
+    for (int64_t k = 0; k < 5; ++k) {
+        EXPECT_EQ(staging.Admit().dev_in, "dev_in#" + std::to_string(k % 2));
+        runtime.Launch(LongKernel());
+        (void)staging.Retire(kBatchBytes, "results_d2h", DeviceBuffer{});
+    }
+    staging.Drain();
+}
+
+TEST(StagingPipelineTest, StagedThirdAdmitWaitsOnTheFirstBatchsDoneEvent)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    IssueLog log;
+    runtime.SetObserver(&log);
+    StagingPipeline staging(runtime, Schedule::kStaged);
+    const MemoryPool& memory = runtime.Gpu().Memory();
+    const int64_t live_before = memory.LiveBytes();
+    const StagingPipeline::Retired first = RunBatch(runtime, staging);
+    const StagingPipeline::Retired second = RunBatch(runtime, staging);
+    EXPECT_EQ(memory.LiveBytes(), live_before + 2 * kBatchBytes);
+    EXPECT_LT(runtime.Now(), first.done_us);
+    EXPECT_LT(first.done_us, second.done_us);
+
+    const size_t issued = log.entries.size();
+    EXPECT_EQ(staging.Admit().dev_in, "dev_in#0");
+    EXPECT_EQ(runtime.Now(), first.done_us);
+    EXPECT_EQ(memory.LiveBytes(), live_before + kBatchBytes);
+    EXPECT_EQ(std::vector<std::string>(log.entries.begin() + issued, log.entries.end()),
+              std::vector<std::string>{"host_wait"});
+
+    staging.Drain();
+    EXPECT_EQ(runtime.Now(), second.done_us);
+    EXPECT_EQ(memory.LiveBytes(), live_before);
+}
+
+TEST(StagingPipelineTest, StagedBarrierIssuesNothing)
+{
+    Runtime runtime(Config(ExecMode::kHybrid));
+    IssueLog log;
+    runtime.SetObserver(&log);
+    StagingPipeline staging(runtime, Schedule::kStaged);
+    runtime.Launch(LongKernel());
+    const size_t issued = log.entries.size();
+    const SimTime before = runtime.Now();
+    staging.Barrier();
+    EXPECT_EQ(log.entries.size(), issued);
+    EXPECT_EQ(runtime.Now(), before);
+    EXPECT_LT(runtime.Now(), runtime.StreamReadyTime(StreamId::kCompute));
+}
+
+TEST(StagingPipelineTest, CpuOnlySchedulesIssueTheSameTrace)
+{
+    std::vector<std::vector<TraceEvent>> traces;
+    std::vector<SimTime> ends;
+    for (const Schedule schedule : {Schedule::kEager, Schedule::kStaged}) {
+        Runtime runtime(Config(ExecMode::kCpuOnly));
+        StagingPipeline staging(runtime, schedule);
+        for (int batch = 0; batch < 3; ++batch) {
+            (void)RunBatch(runtime, staging);
+        }
+        staging.Drain();
+        traces.push_back(runtime.GetTrace().Events());
+        ends.push_back(runtime.Now());
+    }
+    ASSERT_EQ(traces[0].size(), traces[1].size());
+    ASSERT_FALSE(traces[0].empty());
+    for (size_t i = 0; i < traces[0].size(); ++i) {
+        EXPECT_EQ(traces[0][i].name, traces[1][i].name) << i;
+        EXPECT_EQ(traces[0][i].start_us, traces[1][i].start_us) << i;
+        EXPECT_EQ(traces[0][i].end_us, traces[1][i].end_us) << i;
+    }
+    EXPECT_EQ(ends[0], ends[1]);
+}
 
 }  // namespace
 }  // namespace dgnn::sim

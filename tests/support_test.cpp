@@ -153,10 +153,6 @@ TEST(ServingOptionsValidationTest, RejectsNonsenseNamingTheField)
         std::function<void(shard::ShardedOptions&)> corrupt;
     };
     const std::vector<Case> cases = {
-        {"pipeline_depth",
-         [](shard::ShardedOptions& o) { o.server.pipeline_depth = 0; }},
-        {"pipeline_depth",
-         [](shard::ShardedOptions& o) { o.server.pipeline_depth = -3; }},
         {"interconnect.bandwidth_gbps",
          [](shard::ShardedOptions& o) { o.interconnect.bandwidth_gbps = 0.0; }},
         {"interconnect.bandwidth_gbps",
@@ -177,17 +173,12 @@ TEST(ServingOptionsValidationTest, RejectsNonsenseNamingTheField)
     };
     // The untouched options are valid.
     shard::ValidateShardedOptions(shard::ShardedOptions{});
-    serve::ValidateServerOptions(serve::ServerOptions{});
     for (const Case& c : cases) {
         shard::ShardedOptions options;
         c.corrupt(options);
         ExpectRejectedNaming(c.field,
                              [&] { shard::ValidateShardedOptions(options); });
     }
-    serve::ServerOptions server;
-    server.pipeline_depth = 0;
-    ExpectRejectedNaming("pipeline_depth",
-                         [&] { serve::ValidateServerOptions(server); });
 }
 
 TEST(ServingOptionsValidationTest, UnpriceableLinkNeverReachesTheCostModel)
