@@ -1,6 +1,7 @@
 #include "data/molecular_gen.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "support/check.hpp"
 #include "tensor/random.hpp"
@@ -19,11 +20,38 @@ MolecularDataset::FrameBytes() const
     return spec.num_atoms * spec.num_atoms * static_cast<int64_t>(sizeof(float));
 }
 
+void
+ValidateMolecularSpec(const MolecularSpec& spec)
+{
+    DGNN_CHECK(spec.num_atoms >= 2, "num_atoms must be at least 2 (atoms sit on a "
+               "ring), got ", spec.num_atoms);
+    DGNN_CHECK(spec.num_frames >= 1, "num_frames must be positive, got ",
+               spec.num_frames);
+    DGNN_CHECK(spec.atom_feature_dim >= 1, "atom_feature_dim must be positive, got ",
+               spec.atom_feature_dim);
+    DGNN_CHECK(std::isfinite(spec.bond_threshold) && spec.bond_threshold >= 0.0,
+               "bond_threshold must be non-negative and finite, got ",
+               spec.bond_threshold);
+    // Every frame holds a [num_atoms, num_atoms] float adjacency and the
+    // atom features are [num_atoms, atom_feature_dim] floats; their byte
+    // counts must be representable before anything is sized from them.
+    constexpr int64_t kMaxBytes = std::numeric_limits<int64_t>::max();
+    DGNN_CHECK(spec.num_atoms <= kMaxBytes / 4 / spec.num_atoms,
+               "num_atoms^2 x 4 bytes overflows int64: num_atoms ", spec.num_atoms);
+    const int64_t frame_bytes = spec.num_atoms * spec.num_atoms * 4;
+    DGNN_CHECK(spec.num_frames <= kMaxBytes / frame_bytes,
+               "num_frames x num_atoms^2 x 4 bytes overflows int64: num_frames ",
+               spec.num_frames, ", num_atoms ", spec.num_atoms);
+    DGNN_CHECK(spec.atom_feature_dim <= kMaxBytes / 4 / spec.num_atoms,
+               "num_atoms x atom_feature_dim x 4 bytes overflows int64: "
+               "atom_feature_dim ",
+               spec.atom_feature_dim, ", num_atoms ", spec.num_atoms);
+}
+
 MolecularDataset
 GenerateMolecular(const MolecularSpec& spec)
 {
-    DGNN_CHECK(spec.num_atoms > 1 && spec.num_frames > 0, "dataset '", spec.name,
-               "' needs positive sizes");
+    ValidateMolecularSpec(spec);
     Rng rng(spec.seed);
 
     // Atoms on a ring with oscillating radial displacement — bonds between

@@ -39,7 +39,11 @@ struct MolecularDataset {
     int64_t FrameBytes() const;
 };
 
-/// Generates the dataset deterministically from the spec.
+/// Rejects a spec the generator cannot honour: a dgnn::Error naming the
+/// offending field, raised before anything is allocated.
+void ValidateMolecularSpec(const MolecularSpec& spec);
+
+/// Generates the dataset deterministically from the spec (validated first).
 MolecularDataset GenerateMolecular(const MolecularSpec& spec);
 
 }  // namespace dgnn::data

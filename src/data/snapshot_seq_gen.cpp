@@ -1,5 +1,6 @@
 #include "data/snapshot_seq_gen.hpp"
 
+#include <limits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -80,13 +81,42 @@ DrawEdge(Rng& rng, const SnapshotSpec& spec)
 
 }  // namespace
 
+void
+ValidateSnapshotSeqSpec(const SnapshotSpec& spec)
+{
+    DGNN_CHECK(spec.num_nodes >= 1, "num_nodes must be positive, got ",
+               spec.num_nodes);
+    DGNN_CHECK(spec.num_steps >= 1, "num_steps must be positive, got ",
+               spec.num_steps);
+    DGNN_CHECK(spec.edges_per_step >= 0, "edges_per_step must be non-negative, got ",
+               spec.edges_per_step);
+    DGNN_CHECK(spec.node_feature_dim >= 1, "node_feature_dim must be positive, got ",
+               spec.node_feature_dim);
+    DGNN_CHECK(spec.num_blocks >= 1, "num_blocks must be positive, got ",
+               spec.num_blocks);
+    // Written so that NaN fails too.
+    DGNN_CHECK(spec.intra_block_prob >= 0.0 && spec.intra_block_prob <= 1.0,
+               "intra_block_prob must lie in [0, 1], got ", spec.intra_block_prob);
+    DGNN_CHECK(spec.overlap >= 0.0 && spec.overlap <= 1.0,
+               "overlap must lie in [0, 1], got ", spec.overlap);
+    // The node features are [num_nodes, node_feature_dim] floats and the
+    // sequence holds num_steps x edges_per_step edges; their byte counts
+    // must be representable before anything is sized from them.
+    constexpr int64_t kMaxBytes = std::numeric_limits<int64_t>::max();
+    DGNN_CHECK(spec.num_nodes <= kMaxBytes / 4 / spec.node_feature_dim,
+               "num_nodes x node_feature_dim x 4 bytes overflows int64: num_nodes ",
+               spec.num_nodes, ", node_feature_dim ", spec.node_feature_dim);
+    constexpr int64_t kEdgeBytes = static_cast<int64_t>(sizeof(graph::Edge));
+    DGNN_CHECK(spec.edges_per_step <= kMaxBytes / kEdgeBytes / spec.num_steps,
+               "num_steps x edges_per_step x ", kEdgeBytes,
+               " bytes overflows int64: edges_per_step ", spec.edges_per_step,
+               ", num_steps ", spec.num_steps);
+}
+
 SnapshotDataset
 GenerateSnapshots(const SnapshotSpec& spec)
 {
-    DGNN_CHECK(spec.num_nodes > 0 && spec.num_steps > 0, "dataset '", spec.name,
-               "' needs positive sizes");
-    DGNN_CHECK(spec.overlap >= 0.0 && spec.overlap <= 1.0, "overlap ", spec.overlap,
-               " out of [0, 1]");
+    ValidateSnapshotSeqSpec(spec);
 
     Rng rng(spec.seed);
     std::vector<graph::GraphSnapshot> snapshots;

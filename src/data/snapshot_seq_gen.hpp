@@ -45,7 +45,11 @@ struct SnapshotDataset {
     Tensor node_features;  ///< [num_nodes, node_feature_dim]
 };
 
-/// Generates the dataset deterministically from the spec.
+/// Rejects a spec the generator cannot honour: a dgnn::Error naming the
+/// offending field, raised before anything is allocated.
+void ValidateSnapshotSeqSpec(const SnapshotSpec& spec);
+
+/// Generates the dataset deterministically from the spec (validated first).
 SnapshotDataset GenerateSnapshots(const SnapshotSpec& spec);
 
 }  // namespace dgnn::data

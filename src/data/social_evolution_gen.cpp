@@ -1,6 +1,8 @@
 #include "data/social_evolution_gen.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "support/check.hpp"
@@ -27,11 +29,31 @@ PointProcessSpec::GithubLike()
     return s;
 }
 
+void
+ValidateSocialEvolutionSpec(const PointProcessSpec& spec)
+{
+    DGNN_CHECK(spec.num_actors >= 2, "num_actors must be at least 2 (an event "
+               "joins two distinct actors), got ", spec.num_actors);
+    DGNN_CHECK(spec.num_events >= 0, "num_events must be non-negative, got ",
+               spec.num_events);
+    // Written so that NaN fails too.
+    DGNN_CHECK(spec.association_frac >= 0.0 && spec.association_frac <= 1.0,
+               "association_frac must lie in [0, 1], got ", spec.association_frac);
+    DGNN_CHECK(std::isfinite(spec.burstiness) && spec.burstiness >= 0.0,
+               "burstiness must be non-negative and finite, got ", spec.burstiness);
+    // The stream holds num_events events; its byte count must be
+    // representable before anything is sized from it.
+    constexpr int64_t kEventBytes =
+        static_cast<int64_t>(sizeof(graph::TemporalEvent));
+    DGNN_CHECK(spec.num_events <= std::numeric_limits<int64_t>::max() / kEventBytes,
+               "num_events x ", kEventBytes, " bytes overflows int64: num_events ",
+               spec.num_events);
+}
+
 PointProcessDataset
 GeneratePointProcess(const PointProcessSpec& spec)
 {
-    DGNN_CHECK(spec.num_actors > 1 && spec.num_events >= 0, "dataset '", spec.name,
-               "' needs at least two actors");
+    ValidateSocialEvolutionSpec(spec);
     Rng rng(spec.seed);
 
     // Recent-pair memory drives self-excitation.

@@ -42,7 +42,11 @@ struct PointProcessDataset {
     std::vector<PointEventKind> kinds;  ///< aligned with stream order
 };
 
-/// Generates the dataset deterministically from the spec.
+/// Rejects a spec the generator cannot honour: a dgnn::Error naming the
+/// offending field, raised before anything is allocated.
+void ValidateSocialEvolutionSpec(const PointProcessSpec& spec);
+
+/// Generates the dataset deterministically from the spec (validated first).
 PointProcessDataset GeneratePointProcess(const PointProcessSpec& spec);
 
 }  // namespace dgnn::data

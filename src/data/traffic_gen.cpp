@@ -1,6 +1,7 @@
 #include "data/traffic_gen.hpp"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -29,11 +30,36 @@ TrafficDataset::NumSamples() const
         0, spec.num_timesteps - spec.history_len - spec.horizon + 1);
 }
 
+void
+ValidateTrafficSpec(const TrafficSpec& spec)
+{
+    DGNN_CHECK(spec.num_sensors >= 1, "num_sensors must be positive, got ",
+               spec.num_sensors);
+    DGNN_CHECK(spec.num_timesteps >= 1, "num_timesteps must be positive, got ",
+               spec.num_timesteps);
+    DGNN_CHECK(spec.channels >= 1, "channels must be positive, got ", spec.channels);
+    DGNN_CHECK(spec.avg_degree >= 0, "avg_degree must be non-negative, got ",
+               spec.avg_degree);
+    DGNN_CHECK(spec.history_len >= 1, "history_len must be positive, got ",
+               spec.history_len);
+    DGNN_CHECK(spec.horizon >= 1, "horizon must be positive, got ", spec.horizon);
+    // The signal is [num_timesteps, num_sensors x channels] floats; its byte
+    // count must be representable before anything is sized from it.
+    constexpr int64_t kMaxBytes = std::numeric_limits<int64_t>::max();
+    DGNN_CHECK(spec.num_sensors <= kMaxBytes / 4 / spec.channels,
+               "num_sensors x channels x 4 bytes overflows int64: num_sensors ",
+               spec.num_sensors, ", channels ", spec.channels);
+    DGNN_CHECK(spec.num_timesteps <= kMaxBytes / 4 / spec.channels / spec.num_sensors,
+               "num_timesteps x num_sensors x channels x 4 bytes overflows int64: "
+               "num_timesteps ",
+               spec.num_timesteps, ", num_sensors ", spec.num_sensors,
+               ", channels ", spec.channels);
+}
+
 TrafficDataset
 GenerateTraffic(const TrafficSpec& spec)
 {
-    DGNN_CHECK(spec.num_sensors > 0 && spec.num_timesteps > 0, "dataset '", spec.name,
-               "' needs positive sizes");
+    ValidateTrafficSpec(spec);
     Rng rng(spec.seed);
 
     // Road graph: a ring of sensors with random chords, mimicking a highway

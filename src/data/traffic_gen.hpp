@@ -41,7 +41,11 @@ struct TrafficDataset {
     int64_t NumSamples() const;
 };
 
-/// Generates the dataset deterministically from the spec.
+/// Rejects a spec the generator cannot honour: a dgnn::Error naming the
+/// offending field, raised before anything is allocated.
+void ValidateTrafficSpec(const TrafficSpec& spec);
+
+/// Generates the dataset deterministically from the spec (validated first).
 TrafficDataset GenerateTraffic(const TrafficSpec& spec);
 
 }  // namespace dgnn::data

@@ -38,54 +38,170 @@ TEST(InteractionsTest, SizesAndBipartiteRange)
     }
 }
 
-TEST(InteractionsTest, RejectsNonsenseNamingTheField)
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+/// One nonsense spec: the field its error must name and how to set it.
+template <typename Spec>
+struct Corruption {
+    std::string field;
+    std::function<void(Spec&)> corrupt;
+};
+
+/// Expects @p generate to reject every corruption of @p valid with a
+/// dgnn::Error that names the corrupted field.
+template <typename Spec, typename GenerateFn>
+void
+ExpectEachRejectedNamingTheField(const Spec& valid,
+                                 const std::vector<Corruption<Spec>>& cases,
+                                 GenerateFn generate)
 {
-    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-    struct Case {
-        std::string field;
-        std::function<void(InteractionSpec&)> corrupt;
-    };
-    const std::vector<Case> cases = {
-        {"num_users", [](InteractionSpec& s) { s.num_users = 0; }},
-        {"num_users", [](InteractionSpec& s) { s.num_users = -5; }},
-        {"num_items", [](InteractionSpec& s) { s.num_items = 0; }},
-        {"num_events", [](InteractionSpec& s) { s.num_events = -1; }},
-        {"edge_feature_dim", [](InteractionSpec& s) { s.edge_feature_dim = 0; }},
-        {"repeat_prob", [](InteractionSpec& s) { s.repeat_prob = -0.1; }},
-        {"repeat_prob", [](InteractionSpec& s) { s.repeat_prob = 1.5; }},
-        {"repeat_prob", [](InteractionSpec& s) { s.repeat_prob = kNan; }},
-        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = 0.0; }},
-        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = -1.0; }},
-        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = kNan; }},
-        {"mean_gap", [](InteractionSpec& s) { s.mean_gap = kInf; }},
-        {"popularity_alpha", [](InteractionSpec& s) { s.popularity_alpha = -0.5; }},
-        {"popularity_alpha", [](InteractionSpec& s) { s.popularity_alpha = kNan; }},
-        {"popularity_alpha", [](InteractionSpec& s) { s.popularity_alpha = kInf; }},
-        // Rejected by the byte-count check, before the table is sized.
-        {"num_events", [](InteractionSpec& s) { s.num_events = kMax / 2; }},
-        {"edge_feature_dim",
-         [](InteractionSpec& s) { s.edge_feature_dim = kMax / 8; }},
-        {"num_users", [](InteractionSpec& s) { s.num_users = kMax; }},
-    };
-    InteractionSpec valid;
-    valid.num_users = 10;
-    valid.num_items = 5;
-    valid.num_events = 20;
-    valid.edge_feature_dim = 4;
-    EXPECT_EQ(GenerateInteractions(valid).stream.NumEvents(), 20);
-    for (const Case& c : cases) {
-        InteractionSpec spec = valid;
+    for (const Corruption<Spec>& c : cases) {
+        Spec spec = valid;
         c.corrupt(spec);
         try {
-            (void)GenerateInteractions(spec);
+            (void)generate(spec);
             ADD_FAILURE() << c.field << ": nonsense value accepted";
         } catch (const Error& e) {
             EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
                 << "error does not name " << c.field << ": " << e.what();
         }
     }
+}
+
+TEST(InteractionsTest, RejectsNonsenseNamingTheField)
+{
+    using S = InteractionSpec;
+    const std::vector<Corruption<S>> cases = {
+        {"num_users", [](S& s) { s.num_users = 0; }},
+        {"num_users", [](S& s) { s.num_users = -5; }},
+        {"num_items", [](S& s) { s.num_items = 0; }},
+        {"num_events", [](S& s) { s.num_events = -1; }},
+        {"edge_feature_dim", [](S& s) { s.edge_feature_dim = 0; }},
+        {"repeat_prob", [](S& s) { s.repeat_prob = -0.1; }},
+        {"repeat_prob", [](S& s) { s.repeat_prob = 1.5; }},
+        {"repeat_prob", [](S& s) { s.repeat_prob = kNan; }},
+        {"mean_gap", [](S& s) { s.mean_gap = 0.0; }},
+        {"mean_gap", [](S& s) { s.mean_gap = -1.0; }},
+        {"mean_gap", [](S& s) { s.mean_gap = kNan; }},
+        {"mean_gap", [](S& s) { s.mean_gap = kInf; }},
+        {"popularity_alpha", [](S& s) { s.popularity_alpha = -0.5; }},
+        {"popularity_alpha", [](S& s) { s.popularity_alpha = kNan; }},
+        {"popularity_alpha", [](S& s) { s.popularity_alpha = kInf; }},
+        // Rejected by the byte-count check, before the table is sized.
+        {"num_events", [](S& s) { s.num_events = kMax / 2; }},
+        {"edge_feature_dim", [](S& s) { s.edge_feature_dim = kMax / 8; }},
+        {"num_users", [](S& s) { s.num_users = kMax; }},
+    };
+    S valid;
+    valid.num_users = 10;
+    valid.num_items = 5;
+    valid.num_events = 20;
+    valid.edge_feature_dim = 4;
+    EXPECT_EQ(GenerateInteractions(valid).stream.NumEvents(), 20);
+    ExpectEachRejectedNamingTheField(valid, cases, GenerateInteractions);
+}
+
+TEST(SnapshotGenTest, RejectsNonsenseNamingTheField)
+{
+    using S = SnapshotSpec;
+    const std::vector<Corruption<S>> cases = {
+        {"num_nodes", [](S& s) { s.num_nodes = 0; }},
+        {"num_nodes", [](S& s) { s.num_nodes = -4; }},
+        {"num_steps", [](S& s) { s.num_steps = 0; }},
+        {"edges_per_step", [](S& s) { s.edges_per_step = -1; }},
+        {"node_feature_dim", [](S& s) { s.node_feature_dim = 0; }},
+        {"num_blocks", [](S& s) { s.num_blocks = 0; }},
+        {"num_blocks", [](S& s) { s.num_blocks = -2; }},
+        {"intra_block_prob", [](S& s) { s.intra_block_prob = -0.1; }},
+        {"intra_block_prob", [](S& s) { s.intra_block_prob = 1.5; }},
+        {"intra_block_prob", [](S& s) { s.intra_block_prob = kNan; }},
+        {"overlap", [](S& s) { s.overlap = -0.5; }},
+        {"overlap", [](S& s) { s.overlap = 2.0; }},
+        {"overlap", [](S& s) { s.overlap = kNan; }},
+        // Rejected by the byte-count checks, before anything is sized.
+        {"num_nodes", [](S& s) { s.num_nodes = kMax / 2; }},
+        {"node_feature_dim", [](S& s) { s.node_feature_dim = kMax / 8; }},
+        {"edges_per_step", [](S& s) { s.edges_per_step = kMax / 8; }},
+    };
+    S valid;
+    valid.num_nodes = 20;
+    valid.num_steps = 3;
+    valid.edges_per_step = 30;
+    valid.node_feature_dim = 4;
+    EXPECT_EQ(GenerateSnapshots(valid).sequence.NumSteps(), 3);
+    ExpectEachRejectedNamingTheField(valid, cases, GenerateSnapshots);
+}
+
+TEST(TrafficGenTest, RejectsNonsenseNamingTheField)
+{
+    using S = TrafficSpec;
+    const std::vector<Corruption<S>> cases = {
+        {"num_sensors", [](S& s) { s.num_sensors = 0; }},
+        {"num_sensors", [](S& s) { s.num_sensors = -3; }},
+        {"num_timesteps", [](S& s) { s.num_timesteps = 0; }},
+        {"channels", [](S& s) { s.channels = 0; }},
+        {"avg_degree", [](S& s) { s.avg_degree = -1; }},
+        {"history_len", [](S& s) { s.history_len = 0; }},
+        {"horizon", [](S& s) { s.horizon = -2; }},
+        // Rejected by the byte-count checks, before the signal is sized.
+        {"num_sensors", [](S& s) { s.num_sensors = kMax / 2; }},
+        {"channels", [](S& s) { s.channels = kMax / 2; }},
+        {"num_timesteps", [](S& s) { s.num_timesteps = kMax / 8; }},
+    };
+    S valid;
+    valid.num_sensors = 5;
+    valid.num_timesteps = 30;
+    EXPECT_EQ(GenerateTraffic(valid).signal.Dim(0), 30);
+    ExpectEachRejectedNamingTheField(valid, cases, GenerateTraffic);
+}
+
+TEST(MolecularGenTest, RejectsNonsenseNamingTheField)
+{
+    using S = MolecularSpec;
+    const std::vector<Corruption<S>> cases = {
+        {"num_atoms", [](S& s) { s.num_atoms = 1; }},
+        {"num_atoms", [](S& s) { s.num_atoms = -3; }},
+        {"num_frames", [](S& s) { s.num_frames = 0; }},
+        {"atom_feature_dim", [](S& s) { s.atom_feature_dim = 0; }},
+        {"bond_threshold", [](S& s) { s.bond_threshold = -0.1; }},
+        {"bond_threshold", [](S& s) { s.bond_threshold = kNan; }},
+        {"bond_threshold", [](S& s) { s.bond_threshold = kInf; }},
+        // Rejected by the byte-count checks, before any frame is sized.
+        {"num_atoms", [](S& s) { s.num_atoms = kMax / 2; }},
+        {"num_frames", [](S& s) { s.num_frames = kMax / 8; }},
+        {"atom_feature_dim", [](S& s) { s.atom_feature_dim = kMax / 8; }},
+    };
+    S valid;
+    valid.num_atoms = 5;
+    valid.num_frames = 3;
+    valid.atom_feature_dim = 4;
+    EXPECT_EQ(GenerateMolecular(valid).NumFrames(), 3);
+    ExpectEachRejectedNamingTheField(valid, cases, GenerateMolecular);
+}
+
+TEST(PointProcessTest, RejectsNonsenseNamingTheField)
+{
+    using S = PointProcessSpec;
+    const std::vector<Corruption<S>> cases = {
+        {"num_actors", [](S& s) { s.num_actors = 1; }},
+        {"num_actors", [](S& s) { s.num_actors = 0; }},
+        {"num_events", [](S& s) { s.num_events = -1; }},
+        {"association_frac", [](S& s) { s.association_frac = -0.1; }},
+        {"association_frac", [](S& s) { s.association_frac = 1.1; }},
+        {"association_frac", [](S& s) { s.association_frac = kNan; }},
+        {"burstiness", [](S& s) { s.burstiness = -1.0; }},
+        {"burstiness", [](S& s) { s.burstiness = kNan; }},
+        {"burstiness", [](S& s) { s.burstiness = kInf; }},
+        // Rejected by the byte-count check, before the stream is sized.
+        {"num_events", [](S& s) { s.num_events = kMax / 2; }},
+    };
+    S valid;
+    valid.num_actors = 4;
+    valid.num_events = 10;
+    EXPECT_EQ(GeneratePointProcess(valid).stream.NumEvents(), 10);
+    ExpectEachRejectedNamingTheField(valid, cases, GeneratePointProcess);
 }
 
 TEST(InteractionsTest, TimesAreNonDecreasing)
