@@ -443,6 +443,7 @@ Runtime::CopyToDeviceAsync(int64_t bytes, const std::string& what)
     copy_stream_.Enqueue(iv.end, 0.0);
     h2d_bytes_ += bytes;
     ++transfer_count_;
+    transfer_time_us_ += iv.end - iv.start;
 
     TraceEvent e = MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
     e.bytes = bytes;
@@ -465,6 +466,7 @@ Runtime::CopyToHostAsync(int64_t bytes, const std::string& what)
     copy_stream_.Enqueue(iv.end, 0.0);
     d2h_bytes_ += bytes;
     ++transfer_count_;
+    transfer_time_us_ += iv.end - iv.start;
 
     TraceEvent e = MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
     e.bytes = bytes;

@@ -332,7 +332,9 @@ class Runtime {
     /// Host time spent blocked in Synchronize() since window reset.
     SimTime SyncWaitTime() const { return sync_wait_us_; }
 
-    /// Host time spent in PCIe copies since window reset.
+    /// PCIe copy time since window reset: the host time a blocking copy
+    /// held the host (including its wait for the compute stream before a
+    /// D2H), plus the link interval of every async copy.
     SimTime TransferTime() const { return transfer_time_us_; }
 
     /// Host time attributed to each category since the window reset. The

@@ -109,6 +109,20 @@ TEST(RuntimeTest, CopiesBlockHostAndCount)
     EXPECT_GT(rt.TransferTime(), 0.0);
 }
 
+TEST(RuntimeTest, AsyncCopiesCountTheirLinkTimeAsTransferTime)
+{
+    Runtime rt(HybridConfig());
+    const SimTime h2d_end = rt.CopyToDeviceAsync(1 << 20, "h2d");
+    const SimTime d2h_end = rt.CopyToHostAsync(1 << 10, "d2h");
+    // The host only submitted: it is still far from the copies' end.
+    EXPECT_LT(rt.Now(), h2d_end);
+    const SimTime link_time = rt.Pcie().TransferTime(1 << 20) +
+                              rt.Pcie().TransferTime(1 << 10);
+    EXPECT_NEAR(rt.TransferTime(), link_time, 1e-9);
+    EXPECT_NEAR(d2h_end, h2d_end + rt.Pcie().TransferTime(1 << 10), 1e-9);
+    EXPECT_EQ(rt.TransferCount(), 2);
+}
+
 TEST(RuntimeTest, CopiesAreNoOpsInCpuMode)
 {
     Runtime rt(CpuConfig());
