@@ -2,7 +2,7 @@
 
 /// @file
 /// The sync-edge mutation schedule: a synthetic double-buffered async
-/// pipeline (mirroring serve::PipelinedExecutor's edge structure) in which
+/// pipeline (mirroring the staged serve::Executor's edge structure) in which
 /// each happens-before edge can be individually deleted. Running the intact
 /// schedule through the HazardChecker must come back clean; deleting any
 /// edge must surface a hazard of a known kind on a known resource family.

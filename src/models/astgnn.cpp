@@ -31,9 +31,9 @@ Astgnn::WeightBytes() const
 
 void
 Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
-                               sim::StagingPipeline& staging, const char* label, int64_t batch, int64_t steps,
-                               const RunConfig& run, const Tensor& window,
-                               Checksum& checksum)
+                               sim::StagingPipeline& staging, const char* label,
+                               int64_t batch, int64_t steps, const RunConfig& run,
+                               const Tensor& window, Checksum& checksum)
 {
     sim::Runtime& runtime = exec.GetRuntime();
     core::ProfileScope scope(profiler, label);

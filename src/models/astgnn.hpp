@@ -52,13 +52,14 @@ class Astgnn : public DgnnModel {
   private:
     /// One temporal-attention block over [steps, dim] per sensor.
     void TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
-                                sim::StagingPipeline& staging, const char* label, int64_t batch, int64_t steps,
-                                const RunConfig& run, const Tensor& window,
-                                Checksum& checksum);
+                                sim::StagingPipeline& staging, const char* label,
+                                int64_t batch, int64_t steps, const RunConfig& run,
+                                const Tensor& window, Checksum& checksum);
 
     /// One spatial dynamic-GCN block over the sensor graph.
     void SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler,
-                         sim::StagingPipeline& staging, int64_t batch, int64_t steps, const RunConfig& run, Checksum& checksum);
+                         sim::StagingPipeline& staging, int64_t batch, int64_t steps,
+                         const RunConfig& run, Checksum& checksum);
 
     const data::TrafficDataset& dataset_;
     AstgnnConfig config_;

@@ -2,7 +2,7 @@
 
 /// @file
 /// The one batch-issue protocol, shared by the serving executor
-/// (serve::PipelinedExecutor) and the models' offline mini-batch loops. A
+/// (serve::Executor) and the models' offline mini-batch loops. A
 /// pipeline is built for one Schedule and issues the matching ops; the
 /// caller writes one sequence for both (DESIGN.md §14):
 ///

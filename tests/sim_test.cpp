@@ -277,32 +277,41 @@ class IssueLog : public RuntimeObserver {
 
 constexpr int64_t kBatchBytes = 1 << 20;
 
-/// A kernel long enough (~1 ms on the A6000 model) that the device is
-/// still busy when the host returns from issuing it.
-KernelDesc LongKernel()
+/// A kernel long enough that the device is still busy when the host
+/// returns from issuing it.
+KernelDesc
+LongKernel()
 {
     return KernelDesc{"batch_kernel", 10'000'000'000, 1 << 20, 1 << 20, false};
 }
 
-RuntimeConfig Config(ExecMode mode)
+RuntimeConfig
+Config(ExecMode mode)
 {
     RuntimeConfig config;
     config.mode = mode;
     return config;
 }
 
-/// One batch through the pipeline: admit, build, inputs, kernel, barrier,
-/// retire holding a device buffer. Returns the batch's completion.
+/// The rest of an admitted batch: build, inputs, kernel, barrier, retire
+/// holding a device buffer. Returns the batch's completion.
 StagingPipeline::Retired
-RunBatch(Runtime& runtime, StagingPipeline& staging)
+IssueAdmittedBatch(Runtime& runtime, StagingPipeline& staging)
 {
-    (void)staging.Admit();
     runtime.RunHostFor("batch_build", 5.0);
     (void)staging.StageInputs(kBatchBytes, "inputs_h2d");
     runtime.Launch(LongKernel());
     staging.Barrier();
     return staging.Retire(kBatchBytes, "results_d2h",
                           runtime.AllocDevice(kBatchBytes, "batch"));
+}
+
+/// One whole batch through the pipeline.
+StagingPipeline::Retired
+RunBatch(Runtime& runtime, StagingPipeline& staging)
+{
+    (void)staging.Admit();
+    return IssueAdmittedBatch(runtime, staging);
 }
 
 TEST(StagingPipelineTest, EagerAdmitAlwaysReturnsSlotZeroWithoutWaiting)
@@ -313,7 +322,7 @@ TEST(StagingPipelineTest, EagerAdmitAlwaysReturnsSlotZeroWithoutWaiting)
         const SimTime before = runtime.Now();
         EXPECT_EQ(staging.Admit().dev_in, "dev_in#0");
         EXPECT_EQ(runtime.Now(), before);
-        (void)RunBatch(runtime, staging);
+        (void)IssueAdmittedBatch(runtime, staging);
     }
 }
 
